@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -25,21 +24,6 @@ type serverOpts struct {
 	metrics bool
 	auth    *tenant.Auth
 	start   time.Time
-}
-
-// queryStatus maps a query-engine error to its HTTP status: admission
-// shed is backpressure (429), a deadline is an upstream timeout (504),
-// anything else an internal failure (500). Parse and validation errors
-// never reach here — handlers reject those with 400 before querying.
-func queryStatus(err error) int {
-	switch {
-	case errors.Is(err, stats.ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, stats.ErrQueryTimeout):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 // parseTimeParam reads an optional query-range bound: empty takes def,
@@ -114,7 +98,7 @@ func newStatusMux(p *core.Pipeline, o serverOpts) *http.ServeMux {
 		}
 		streams, _, err := p.Warehouse.QueryLogsContext(r.Context(), q, start.UnixNano(), end.UnixNano())
 		if err != nil {
-			http.Error(w, err.Error(), queryStatus(err))
+			http.Error(w, err.Error(), stats.HTTPStatus(err))
 			return
 		}
 		writeJSON(w, streams)
@@ -127,7 +111,7 @@ func newStatusMux(p *core.Pipeline, o serverOpts) *http.ServeMux {
 		}
 		vec, _, err := p.Warehouse.QueryMetricsContext(r.Context(), q, time.Now().UnixMilli())
 		if err != nil {
-			http.Error(w, err.Error(), queryStatus(err))
+			http.Error(w, err.Error(), stats.HTTPStatus(err))
 			return
 		}
 		writeJSON(w, vec)
@@ -160,7 +144,7 @@ func newStatusMux(p *core.Pipeline, o serverOpts) *http.ServeMux {
 		end := time.Now()
 		hm, err := p.ErrorHeatmap(r.Context(), end.Add(-since), end, step)
 		if err != nil {
-			http.Error(w, err.Error(), queryStatus(err))
+			http.Error(w, err.Error(), stats.HTTPStatus(err))
 			return
 		}
 		if r.URL.Query().Get("format") == "render" {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -42,10 +43,27 @@ func get(t *testing.T, mux *http.ServeMux, url string, hdr map[string]string) *h
 	return rr
 }
 
-// queryStatus is the single error→status mapping both query handlers
-// share: backpressure is 429, a deadline 504, anything else 500. Parse
-// errors never reach it (handlers pre-validate with 400).
-func TestQueryStatusMapping(t *testing.T) {
+// Every query endpoint maps an engine-side error through the one
+// stats.HTTPStatus: backpressure is 429, a deadline 504, anything else
+// 500 — never the 400 that parse and parameter errors get. Each error is
+// injected as the cancellation cause of the request context: that is how
+// the tracker delivers timeout, byte-budget and kill, and every store
+// and engine returns the cause once its context is done, so the handlers
+// see the same value they would from a real fault.
+func TestQueryErrorStatusOnEveryEndpoint(t *testing.T) {
+	p := testPipeline(t, core.Options{})
+	mux := newStatusMux(p, serverOpts{})
+	endpoints := []string{
+		`/loki/api/v1/query?query=count_over_time({app="x"}[5m])`,
+		`/loki/api/v1/query_range?query={app="x"}`,
+		`/loki/api/v1/query_range?query=count_over_time({app="x"}[5m])`,
+		// Range functions, because a bare PromQL selector reads one sample
+		// per series and never looks at its context.
+		`/api/v1/query?query=max_over_time(up[5m])`,
+		`/api/v1/query_range?query=max_over_time(up[5m])`,
+		`/query/logs?q={app="x"}`,
+		`/query/metrics?q=max_over_time(up[5m])`,
+	}
 	cases := []struct {
 		err  error
 		want int
@@ -53,11 +71,22 @@ func TestQueryStatusMapping(t *testing.T) {
 		{stats.ErrQueueFull, http.StatusTooManyRequests},
 		{stats.ErrQueryTimeout, http.StatusGatewayTimeout},
 		{stats.ErrMaxBytesScanned, http.StatusInternalServerError},
+		{stats.ErrKilled, http.StatusInternalServerError},
 		{errors.New("disk on fire"), http.StatusInternalServerError},
 	}
-	for _, c := range cases {
-		if got := queryStatus(c.err); got != c.want {
-			t.Errorf("queryStatus(%v) = %d, want %d", c.err, got, c.want)
+	for _, url := range endpoints {
+		if rr := get(t, mux, url, nil); rr.Code != http.StatusOK {
+			t.Fatalf("%s without a fault: %d %s", url, rr.Code, rr.Body.String())
+		}
+		for _, c := range cases {
+			ctx, cancel := context.WithCancelCause(context.Background())
+			cancel(c.err)
+			rr := httptest.NewRecorder()
+			mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx))
+			if rr.Code != c.want || !strings.Contains(rr.Body.String(), c.err.Error()) {
+				t.Errorf("%s failing with %q: %d %q, want %d naming the error",
+					url, c.err, rr.Code, rr.Body.String(), c.want)
+			}
 		}
 	}
 }
@@ -80,7 +109,7 @@ func TestParseTimeParam(t *testing.T) {
 }
 
 // /query/logs: parse and validation errors are 400, success is 200, and
-// engine errors route through queryStatus instead of a blanket 400.
+// engine errors route through stats.HTTPStatus instead of a blanket 400.
 func TestQueryLogsStatusCodes(t *testing.T) {
 	p := testPipeline(t, core.Options{})
 	mustTickAt(t, p, time.Date(2022, 3, 3, 1, 46, 0, 0, time.UTC))

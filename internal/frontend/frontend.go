@@ -21,8 +21,9 @@
 //
 // The frontend is engine-neutral: requests carry timestamps in the
 // engine's native unit (nanoseconds for LogQL, milliseconds for PromQL)
-// plus an Eval closure that evaluates one sub-range monolithically, and
-// results travel as the neutral Matrix type.
+// plus an Eval closure that evaluates one sub-range monolithically.
+// Matrix is the one range-result type: both engines alias it, so results
+// cross the frontend without conversion.
 //
 // Admission is load-shed, not buffered without bound: each engine gets
 // a bounded queue in front of a concurrency limit, and a query arriving
@@ -88,8 +89,6 @@ type Config struct {
 	// NoShardFanout disables the per-shard fan-out even for expressions
 	// whose callers prove shard-mergeable.
 	NoShardFanout bool
-	// Workers bounds the split/shard evaluation pool; 0 = GOMAXPROCS.
-	Workers int
 	// Now supplies the frontend clock for the freshness cutoff; nil =
 	// time.Now. The pipeline injects its simulated clock.
 	Now func() time.Time
@@ -113,8 +112,10 @@ type Series struct {
 	Points []Point
 }
 
-// Matrix is a range query result. Matrices returned by the frontend may
-// alias cached storage and must be treated as immutable by callers.
+// Matrix is a range query result, the type both engines return. A matrix
+// returned by QueryRange never aliases the results cache: mergeSplits
+// copies every point into freshly allocated slices, so callers may
+// modify what they get.
 type Matrix []Series
 
 // Request is one range query. Start/End/Step and Lookback are in the
@@ -139,10 +140,6 @@ type Request struct {
 	// in engine units. Retention invalidation uses it to tell which
 	// cached splits a deletion horizon reaches.
 	Lookback int64
-
-	// NoCache bypasses the results cache for this request (reads and
-	// writes); the context flag set by WithoutCache does the same.
-	NoCache bool
 
 	// Shards > 1 declares the expression shard-mergeable: each split
 	// may evaluate once per store shard (Eval's shard argument runs
@@ -192,14 +189,11 @@ type queueKey struct {
 // Frontend splits, fans out, caches and admission-controls range
 // queries. Build with New; safe for concurrent use.
 type Frontend struct {
-	cfg     Config
-	workers int
-	cache   *resultCache
+	cfg   Config
+	cache *resultCache
 
 	mu     sync.Mutex
 	queues map[queueKey]*queue
-
-	inFlight atomic.Int64
 
 	// metric counters; registered families read them via closures so an
 	// unregistered frontend (unit tests) costs only the atomic adds.
@@ -231,11 +225,7 @@ func New(cfg Config) *Frontend {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	f := &Frontend{
-		cfg:     cfg,
-		workers: parallel.Workers(cfg.Workers),
-		queues:  map[queueKey]*queue{},
-	}
+	f := &Frontend{cfg: cfg, queues: map[queueKey]*queue{}}
 	if cfg.CacheBytes >= 0 {
 		size := cfg.CacheBytes
 		if size == 0 {
@@ -435,8 +425,8 @@ func (r *Request) unit() time.Duration {
 
 // QueryRange runs one range query through admission, splitting, the
 // results cache and (when requested) shard fan-out. The returned matrix
-// is sorted by label string and byte-identical to a monolithic
-// evaluation of the same request.
+// is sorted by label string, byte-identical to a monolithic evaluation
+// of the same request, and owned by the caller (see Matrix).
 func (f *Frontend) QueryRange(ctx context.Context, req Request) (Matrix, error) {
 	if req.Step <= 0 {
 		return nil, fmt.Errorf("frontend: step must be positive")
@@ -467,7 +457,7 @@ func (f *Frontend) QueryRange(ctx context.Context, req Request) (Matrix, error) 
 		sc.AddSplit()
 	}
 
-	useCache := f.cache != nil && !req.NoCache && !cacheBypassed(ctx)
+	useCache := f.cache != nil && !cacheBypassed(ctx)
 	// cutoff is the newest engine-units timestamp a split may end at and
 	// still be cached: anything younger is the mutable head window.
 	cutoff := f.cfg.Now().Add(-f.cfg.CacheFreshness).UnixNano() / int64(unit)
@@ -490,7 +480,7 @@ func (f *Frontend) QueryRange(ctx context.Context, req Request) (Matrix, error) 
 	}
 
 	errs := make([]error, len(toEval))
-	parallel.Do(len(toEval), f.workers, &f.inFlight, func(j int) {
+	parallel.Do(len(toEval), parallel.Workers(0), nil, func(j int) {
 		i := toEval[j]
 		sp := spans[i]
 		m, err := f.evalSplit(ctx, &req, sp)
@@ -524,7 +514,7 @@ func (f *Frontend) evalSplit(ctx context.Context, req *Request, sp span) (Matrix
 		parts := make([]Matrix, req.Shards)
 		errs := make([]error, req.Shards)
 		f.shardSubqueries.Add(int64(req.Shards))
-		parallel.Do(req.Shards, f.workers, &f.inFlight, func(s int) {
+		parallel.Do(req.Shards, parallel.Workers(0), nil, func(s int) {
 			parts[s], errs[s] = req.Eval(ctx, sp.start, sp.end, s)
 		})
 		for _, err := range errs {
@@ -540,8 +530,9 @@ func (f *Frontend) evalSplit(ctx context.Context, req *Request, sp span) (Matrix
 // mergeSplits concatenates per-split matrices in time order. Splits
 // partition the step grid, so per-series points concatenate without
 // overlap; series order is by label string, matching the engines'
-// monolithic evaluation. Point slices are always freshly allocated —
-// cached input matrices are shared and must not be appended to.
+// monolithic evaluation. Point slices are always freshly allocated:
+// cached input matrices are shared between queries, and this copy is
+// the one guarantee that a returned matrix never aliases them.
 func mergeSplits(parts []Matrix) Matrix {
 	bySeries := map[string]*Series{}
 	var order []string

@@ -190,13 +190,19 @@ func TestWithoutCacheBypasses(t *testing.T) {
 	if st := f.CacheStats(); st.Entries != 0 {
 		t.Fatalf("bypass populated the cache: %+v", st)
 	}
-	// Request-level NoCache behaves the same.
-	req.NoCache = true
+	// The bypass covers reads too: with the cache populated by an
+	// ordinary query, a bypassed one still evaluates every split.
 	if _, err := f.QueryRange(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.CacheStats(); st.Entries != 0 {
-		t.Fatalf("NoCache populated the cache: %+v", st)
+	if st := f.CacheStats(); st.Entries != 5 {
+		t.Fatalf("ordinary query cached %d splits, want 5", st.Entries)
+	}
+	if _, err := f.QueryRange(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 20 {
+		t.Fatalf("bypassed query over a populated cache: %d evals total, want 20", calls.Load())
 	}
 }
 

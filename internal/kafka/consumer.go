@@ -1,7 +1,6 @@
 package kafka
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
@@ -51,12 +50,11 @@ func NewManualConsumer(b *Broker, group, member string, topics ...string) *Consu
 // mode offsets are committed as messages are returned; in manual mode the
 // in-memory position advances and CommitPolled persists it.
 //
-// Poll self-heals offsets orphaned by retention: when a concurrent
-// TruncateBefore moves the low watermark past the read position between
-// the watermark check and the fetch, the resulting ErrOffsetOutOfRange is
-// absorbed by clamping to the new low watermark instead of surfacing — the
-// messages are gone either way, and a monitoring consumer must keep
-// draining what remains.
+// A position orphaned by retention heals itself: the broker's fetch
+// starts at the low watermark when TruncateBefore has moved it past the
+// read position, and the position then advances from the offsets of the
+// messages actually returned — a monitoring consumer keeps draining what
+// remains.
 func (c *Consumer) Poll(max int, timeout time.Duration) ([]Message, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -77,28 +75,11 @@ func (c *Consumer) Poll(max int, timeout time.Duration) ([]Message, error) {
 					return nil
 				}
 				off := c.position(topic, p)
-				low, _, err := c.b.Watermarks(topic, p)
-				if err != nil {
-					return err
-				}
-				if off < low {
-					off = low // skip messages lost to retention
-				}
-				fetch := func(from int64) ([]Message, error) {
-					if wait > 0 {
-						return c.b.FetchWait(topic, p, from, max-len(out), wait)
-					}
-					return c.b.Fetch(topic, p, from, max-len(out))
-				}
-				msgs, err := fetch(off)
-				if errors.Is(err, ErrOffsetOutOfRange) {
-					// Retention truncated under us; clamp and refetch.
-					low, _, werr := c.b.Watermarks(topic, p)
-					if werr != nil {
-						return werr
-					}
-					off = low
-					msgs, err = fetch(off)
+				var msgs []Message
+				if wait > 0 {
+					msgs, err = c.b.FetchWait(topic, p, off, max-len(out), wait)
+				} else {
+					msgs, err = c.b.Fetch(topic, p, off, max-len(out))
 				}
 				if err != nil {
 					return err

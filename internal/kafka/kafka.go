@@ -63,12 +63,22 @@ func (p *partition) append(m Message) int64 {
 	return m.Offset
 }
 
+// fetch returns up to max messages from the first retained offset >=
+// offset. An offset below the low watermark is clamped to it under the
+// partition lock — those messages are gone whatever the reader does, and
+// deciding that here leaves no window for a truncation to race a
+// reader's own watermark check. Messages carry their real offsets, so
+// the reader's next position follows from what it was handed. Only an
+// offset beyond the high watermark is an error.
 func (p *partition) fetch(offset int64, max int) ([]Message, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	high := p.base + int64(len(p.msgs))
-	if offset < p.base || offset > high {
-		return nil, fmt.Errorf("%w: %d not in [%d, %d]", ErrOffsetOutOfRange, offset, p.base, high)
+	if offset > high {
+		return nil, fmt.Errorf("%w: %d beyond high watermark %d", ErrOffsetOutOfRange, offset, high)
+	}
+	if offset < p.base {
+		offset = p.base
 	}
 	if offset == high {
 		return nil, nil
@@ -84,11 +94,13 @@ func (p *partition) fetch(offset int64, max int) ([]Message, error) {
 }
 
 // waitCh returns a channel closed at next append when the reader is at the
-// head; nil if data is already available.
+// head; nil if data is already available. Like fetch it reads an offset
+// below the low watermark as the low watermark, so a reader whose
+// position was truncated away still blocks on an empty partition.
 func (p *partition) waitCh(offset int64) chan struct{} {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if offset < p.base+int64(len(p.msgs)) {
+	if max(offset, p.base) < p.base+int64(len(p.msgs)) {
 		return nil
 	}
 	w := make(chan struct{})
@@ -296,8 +308,10 @@ func (b *Broker) ProduceMessage(m Message) (int, int64, error) {
 	return pi, off, nil
 }
 
-// Fetch reads up to max messages from a partition starting at offset.
-// An empty result means the reader is at the head.
+// Fetch reads up to max messages from a partition starting at offset, or
+// at the low watermark when retention has already truncated past offset
+// (check Message.Offset, not offset+i). An empty result means the reader
+// is at the head; an offset beyond the head is ErrOffsetOutOfRange.
 func (b *Broker) Fetch(topicName string, part int, offset int64, max int) ([]Message, error) {
 	t, err := b.topic(topicName)
 	if err != nil {

@@ -128,7 +128,13 @@ func TestRetentionTruncate(t *testing.T) {
 	if low != 5 || high != 10 {
 		t.Fatalf("watermarks %d %d", low, high)
 	}
-	if _, err := b.Fetch("t", 0, 0, 1); !errors.Is(err, ErrOffsetOutOfRange) {
+	// A fetch from below the low watermark starts at it, and the message
+	// says where it really is.
+	if msgs, err := b.Fetch("t", 0, 0, 1); err != nil || len(msgs) != 1 || msgs[0].Offset != 5 {
+		t.Fatalf("fetch below low watermark: %v %v, want offset 5", msgs, err)
+	}
+	// Above the high watermark is still an error.
+	if _, err := b.Fetch("t", 0, 11, 1); !errors.Is(err, ErrOffsetOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
 	msgs, err := b.Fetch("t", 0, 5, 100)

@@ -3,8 +3,8 @@ package kafka
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -118,9 +118,12 @@ func TestFetchWaitTimeoutPrunesWaiters(t *testing.T) {
 	}
 }
 
-// Poll self-heals when retention truncation races it: TruncateBefore
-// moving the low watermark between Poll's watermark check and its fetch
-// must not surface ErrOffsetOutOfRange.
+// Poll self-heals when retention truncation races it: however often
+// TruncateBefore moves the low watermark past the consumer's position
+// between two of its broker calls, Poll surfaces no error, hands out
+// offsets in strictly increasing order, and ends on the newest message.
+// The producer does a fixed number of produce/truncate rounds, so the
+// test's work is the same on every host.
 func TestPollSelfHealsAfterTruncation(t *testing.T) {
 	b := NewBroker()
 	if err := b.CreateTopic("t", 1); err != nil {
@@ -130,54 +133,49 @@ func TestPollSelfHealsAfterTruncation(t *testing.T) {
 	c := NewConsumer(b, "g", "m", "t")
 	defer c.Close()
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errCh := make(chan error, 1)
-	wg.Add(2)
+	const rounds = 5000
+	produced := make(chan struct{})
 	// Producer+truncator: append with advancing timestamps, truncate hard
 	// on the heels of the appends so the consumer's offsets keep expiring.
 	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(produced)
+		for i := 0; i < rounds; i++ {
 			ts := base.Add(time.Duration(i) * time.Second)
 			_, _, _ = b.Produce("t", nil, []byte(fmt.Sprintf("m%d", i)), ts)
 			b.TruncateBefore(ts) // retain only the newest message
 		}
 	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := c.Poll(10, 0); err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-				return
-			}
+
+	last := int64(-1)
+	poll := func() {
+		msgs, err := c.Poll(10, 0)
+		if err != nil {
+			t.Fatalf("poll surfaced: %v", err)
 		}
-	}()
-	time.Sleep(200 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatalf("poll surfaced: %v", err)
-	default:
+		for _, m := range msgs {
+			if m.Offset <= last {
+				t.Fatalf("offset %d delivered after %d", m.Offset, last)
+			}
+			last = m.Offset
+		}
+	}
+	for racing := true; racing; {
+		select {
+		case <-produced:
+			racing = false
+		default:
+		}
+		poll()
+	}
+	// The newest message is never truncated: one poll after the producer
+	// is done must have reached it.
+	if last != rounds-1 {
+		t.Fatalf("last delivered offset %d, want %d", last, rounds-1)
 	}
 }
 
-// Direct regression for the race window: commit an offset, truncate past
-// it, and poll — the clamp must absorb the out-of-range error.
+// The same without a race: commit an offset, truncate past it, and poll —
+// the fetch starts at the new low watermark.
 func TestPollClampsCommittedOffsetPastTruncation(t *testing.T) {
 	b := NewBroker()
 	if err := b.CreateTopic("t", 1); err != nil {
@@ -199,6 +197,48 @@ func TestPollClampsCommittedOffsetPastTruncation(t *testing.T) {
 	}
 	if len(msgs) != 2 || string(msgs[0].Value) != "m8" {
 		t.Fatalf("msgs after truncation: %d, first %q", len(msgs), msgs[0].Value)
+	}
+}
+
+// A blocking poll from a position that retention emptied the partition
+// past must wait for the next append, not spin on "data available".
+func TestPollWaitsWhenPositionTruncatedAway(t *testing.T) {
+	b := NewBroker()
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		_, _, _ = b.Produce("t", nil, []byte(fmt.Sprintf("m%d", i)), time.Unix(int64(i), 0))
+	}
+	c := NewConsumer(b, "g", "m", "t")
+	defer c.Close()
+	if _, err := c.Poll(3, 0); err != nil {
+		t.Fatal(err)
+	}
+	b.TruncateBefore(time.Unix(100, 0)) // position 3, low = high = 10
+	tp, err := b.topic("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tp.partitions[0]
+	done := make(chan []Message, 1)
+	go func() {
+		msgs, _ := c.Poll(10, 5*time.Second)
+		done <- msgs
+	}()
+	for p.waiterCount() == 0 {
+		select {
+		case msgs := <-done:
+			t.Fatalf("poll returned %v without waiting", msgs)
+		default:
+			runtime.Gosched()
+		}
+	}
+	if _, _, err := b.Produce("t", nil, []byte("wake"), time.Unix(200, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if msgs := <-done; len(msgs) != 1 || msgs[0].Offset != 10 {
+		t.Fatalf("woken poll got %v, want the one message at offset 10", msgs)
 	}
 }
 

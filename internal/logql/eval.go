@@ -32,20 +32,13 @@ type Sample struct {
 // Vector is an instant query result.
 type Vector []Sample
 
-// Point is one (timestamp, value) of a range query series.
-type Point struct {
-	T int64
-	V float64
-}
-
-// Series is a labelled sequence of points.
-type Series struct {
-	Labels labels.Labels
-	Points []Point
-}
-
-// Matrix is a range query result.
-type Matrix []Series
+// Point, Series and Matrix are the range query result model, defined
+// once in frontend and shared with promql; T is Unix nanoseconds here.
+type (
+	Point  = frontend.Point
+	Series = frontend.Series
+	Matrix = frontend.Matrix
+)
 
 // ResultStream is a log query result: output labels (stream labels plus
 // any parser-extracted ones) and matching entries.

@@ -129,40 +129,13 @@ func (e *Engine) shardPlan(expr MetricExpr) (int, string) {
 	return sh.Shards(), op
 }
 
-func toFrontendMatrix(m Matrix) frontend.Matrix {
-	out := make(frontend.Matrix, len(m))
-	for i, s := range m {
-		pts := make([]frontend.Point, len(s.Points))
-		for j, p := range s.Points {
-			pts[j] = frontend.Point{T: p.T, V: p.V}
-		}
-		out[i] = frontend.Series{Labels: s.Labels, Points: pts}
-	}
-	return out
-}
-
-// fromFrontendMatrix copies the frontend result into engine types. The
-// copy matters: frontend matrices may alias cached storage shared with
-// concurrent queries.
-func fromFrontendMatrix(fm frontend.Matrix) Matrix {
-	out := make(Matrix, 0, len(fm))
-	for _, s := range fm {
-		pts := make([]Point, len(s.Points))
-		for j, p := range s.Points {
-			pts[j] = Point{T: p.T, V: p.V}
-		}
-		out = append(out, Series{Labels: s.Labels, Points: pts})
-	}
-	return out
-}
-
 // rangeViaFrontend hands the range query to the frontend: it splits,
 // consults the results cache, fans shardable expressions across store
 // shards, and calls back into rangeDirect for whatever must actually
 // evaluate.
 func (e *Engine) rangeViaFrontend(ctx context.Context, expr MetricExpr, start, end int64, step time.Duration) (Matrix, error) {
 	shards, mergeOp := e.shardPlan(expr)
-	fm, err := e.frontend.QueryRange(ctx, frontend.Request{
+	return e.frontend.QueryRange(ctx, frontend.Request{
 		Engine:   "logql",
 		Query:    expr.String(),
 		Start:    start,
@@ -172,20 +145,12 @@ func (e *Engine) rangeViaFrontend(ctx context.Context, expr MetricExpr, start, e
 		Lookback: int64(maxLookback(expr)),
 		Shards:   shards,
 		MergeOp:  mergeOp,
-		Eval: func(ctx context.Context, s, en int64, shard int) (frontend.Matrix, error) {
+		Eval: func(ctx context.Context, s, en int64, shard int) (Matrix, error) {
 			ex := expr
 			if shard >= 0 {
 				ex = withShardSelector(expr, shard, shards)
 			}
-			m, err := e.rangeDirect(ctx, ex, s, en, step)
-			if err != nil {
-				return nil, err
-			}
-			return toFrontendMatrix(m), nil
+			return e.rangeDirect(ctx, ex, s, en, step)
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fromFrontendMatrix(fm), nil
 }

@@ -80,7 +80,8 @@ var goldenWindows = []struct {
 }
 
 // TestFrontendGoldenEquality proves split + sharded + cached evaluation
-// is byte-identical to the monolithic pass, cold and warm.
+// is byte-identical to the monolithic pass, cold and warm, and that a
+// caller scribbling over a returned matrix cannot reach the cache.
 func TestFrontendGoldenEquality(t *testing.T) {
 	store := goldenStore(t, 4)
 	mono := NewEngine(store)
@@ -114,6 +115,23 @@ func TestFrontendGoldenEquality(t *testing.T) {
 			}
 			if fe := sc.Snapshot().Frontend; fe.ResultCacheHits == 0 {
 				t.Errorf("%s: warm run hit the cache 0 times: %+v", name, fe)
+			}
+			// Engines and frontend share one Matrix type and nothing copies
+			// on the way out except mergeSplits: overwrite what was returned
+			// and the next hit must still serve the monolithic answer.
+			for _, m := range []Matrix{cold, warm} {
+				for _, s := range m {
+					for i := range s.Points {
+						s.Points[i] = Point{T: -1, V: -1}
+					}
+				}
+			}
+			again, err := split.QueryRange(q, w.start*1e9, w.end*1e9, time.Duration(w.step)*time.Second)
+			if err != nil {
+				t.Fatalf("%s: after overwrite: %v", name, err)
+			}
+			if matrixString(want) != matrixString(again) {
+				t.Errorf("%s: overwriting a returned matrix changed the cached result\nmono:  %s\nsplit: %s", name, matrixString(want), matrixString(again))
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package logql
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -47,7 +46,7 @@ func (e *Engine) Handler() http.Handler {
 		stats.FromContext(ctx).AddEntriesReturned(int64(len(vec)))
 		snap := finish(err)
 		if err != nil {
-			writeLogQLError(w, http.StatusBadRequest, err)
+			writeLogQLError(w, stats.HTTPStatus(err), err)
 			return
 		}
 		result := make([]map[string]interface{}, 0, len(vec))
@@ -83,7 +82,7 @@ func (e *Engine) Handler() http.Handler {
 			streams, err := e.SelectLogsContext(ctx, ex, start, end)
 			snap := finish(err)
 			if err != nil {
-				writeLogQLError(w, http.StatusBadRequest, err)
+				writeLogQLError(w, stats.HTTPStatus(err), err)
 				return
 			}
 			result := make([]map[string]interface{}, 0, len(streams))
@@ -104,7 +103,8 @@ func (e *Engine) Handler() http.Handler {
 				stepS = "60"
 			}
 			stepF, err := strconv.ParseFloat(stepS, 64)
-			if err != nil || stepF <= 0 {
+			step := time.Duration(stepF * float64(time.Second))
+			if err != nil || step <= 0 {
 				writeLogQLError(w, http.StatusBadRequest, fmt.Errorf("bad step %q", stepS))
 				return
 			}
@@ -112,7 +112,7 @@ func (e *Engine) Handler() http.Handler {
 			if v := r.URL.Query().Get("nocache"); v == "1" || v == "true" {
 				ctx = frontend.WithoutCache(ctx)
 			}
-			m, err := e.RangeContext(ctx, ex, start, end, time.Duration(stepF*float64(time.Second)))
+			m, err := e.RangeContext(ctx, ex, start, end, step)
 			points := 0
 			for _, s := range m {
 				points += len(s.Points)
@@ -120,11 +120,7 @@ func (e *Engine) Handler() http.Handler {
 			stats.FromContext(ctx).AddEntriesReturned(int64(points))
 			snap := finish(err)
 			if err != nil {
-				code := http.StatusBadRequest
-				if errors.Is(err, stats.ErrQueueFull) {
-					code = http.StatusTooManyRequests
-				}
-				writeLogQLError(w, code, err)
+				writeLogQLError(w, stats.HTTPStatus(err), err)
 				return
 			}
 			result := make([]map[string]interface{}, 0, len(m))

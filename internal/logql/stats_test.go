@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 	"shastamon/internal/loki"
 	"shastamon/internal/stats"
@@ -224,6 +225,40 @@ func TestKillCancelsMidEvaluation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("kill took %v to stop the scan", elapsed)
+	}
+}
+
+// A range evaluation stops at the first failing step and sizes nothing
+// by the step count: the count comes from a client's step parameter
+// (3e11 here, a 5-minute window at 1 ns), so a dead query must cost one
+// step, with and without a frontend in the path.
+func TestRangeStopsAtFirstFailedStep(t *testing.T) {
+	store := loki.NewStore(loki.DefaultLimits())
+	statsCorpus(t, store, 2, 8, 50)
+	expr, err := ParseMetricExpr(`count_over_time({app="stats"}[1m])`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, split := NewEngine(store), NewEngine(store)
+	split.SetFrontend(frontend.New(frontend.Config{}))
+	for name, eng := range map[string]*Engine{"mono": mono, "frontend": split} {
+		for _, cause := range []error{stats.ErrKilled, stats.ErrQueryTimeout, context.Canceled} {
+			ctx, cancel := context.WithCancelCause(context.Background())
+			cancel(cause)
+			done := make(chan error, 1)
+			go func() {
+				_, err := eng.RangeContext(ctx, expr, 0, int64(5*time.Minute), time.Nanosecond)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, cause) {
+					t.Errorf("%s: err = %v, want %v", name, err, cause)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: a query dead on arrival (%v) kept evaluating steps", name, cause)
+			}
+		}
 	}
 }
 

@@ -38,36 +38,10 @@ func (e *Engine) maxLookbackMS(expr Expr) int64 {
 	return 0
 }
 
-func toFrontendMatrix(m Matrix) frontend.Matrix {
-	out := make(frontend.Matrix, len(m))
-	for i, s := range m {
-		pts := make([]frontend.Point, len(s.Points))
-		for j, p := range s.Points {
-			pts[j] = frontend.Point{T: p.T, V: p.V}
-		}
-		out[i] = frontend.Series{Labels: s.Labels, Points: pts}
-	}
-	return out
-}
-
-// fromFrontendMatrix copies the frontend result into engine types; the
-// input may alias cached storage shared with concurrent queries.
-func fromFrontendMatrix(fm frontend.Matrix) Matrix {
-	out := make(Matrix, 0, len(fm))
-	for _, s := range fm {
-		pts := make([]Point, len(s.Points))
-		for j, p := range s.Points {
-			pts[j] = Point{T: p.T, V: p.V}
-		}
-		out = append(out, Series{Labels: s.Labels, Points: pts})
-	}
-	return out
-}
-
 // rangeViaFrontend hands the range query to the frontend, which calls
 // back into rangeDirect for the splits the results cache cannot serve.
 func (e *Engine) rangeViaFrontend(ctx context.Context, expr Expr, start, end int64, step time.Duration) (Matrix, error) {
-	fm, err := e.frontend.QueryRange(ctx, frontend.Request{
+	return e.frontend.QueryRange(ctx, frontend.Request{
 		Engine:   "promql",
 		Query:    expr.String(),
 		Start:    start,
@@ -75,16 +49,8 @@ func (e *Engine) rangeViaFrontend(ctx context.Context, expr Expr, start, end int
 		Step:     step.Milliseconds(),
 		Unit:     time.Millisecond,
 		Lookback: e.maxLookbackMS(expr),
-		Eval: func(ctx context.Context, s, en int64, _ int) (frontend.Matrix, error) {
-			m, err := e.rangeDirect(ctx, expr, s, en, step)
-			if err != nil {
-				return nil, err
-			}
-			return toFrontendMatrix(m), nil
+		Eval: func(ctx context.Context, s, en int64, _ int) (Matrix, error) {
+			return e.rangeDirect(ctx, expr, s, en, step)
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fromFrontendMatrix(fm), nil
 }

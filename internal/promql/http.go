@@ -2,7 +2,6 @@ package promql
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -31,11 +30,17 @@ func (e *Engine) Handler() http.Handler {
 			writePromError(w, http.StatusBadRequest, err)
 			return
 		}
-		ctx, finish := e.tracker.Start(r.Context(), "promql", q)
-		vec, err := e.QueryContext(ctx, q, ts.UnixMilli())
-		snap := finish(err)
+		expr, err := Parse(q)
 		if err != nil {
 			writePromError(w, http.StatusBadRequest, err)
+			return
+		}
+		ctx, finish := e.tracker.Start(r.Context(), "promql", q)
+		vec, err := e.InstantContext(ctx, expr, ts.UnixMilli())
+		stats.FromContext(ctx).AddEntriesReturned(int64(len(vec)))
+		snap := finish(err)
+		if err != nil {
+			writePromError(w, stats.HTTPStatus(err), err)
 			return
 		}
 		result := make([]map[string]interface{}, 0, len(vec))
@@ -65,18 +70,29 @@ func (e *Engine) Handler() http.Handler {
 			stepS = "60"
 		}
 		stepF, err := strconv.ParseFloat(stepS, 64)
-		if err != nil || stepF <= 0 {
+		step := time.Duration(stepF * float64(time.Second))
+		if err != nil || step < time.Millisecond {
 			writePromError(w, http.StatusBadRequest, fmt.Errorf("bad step %q", stepS))
+			return
+		}
+		expr, err := Parse(q)
+		if err != nil {
+			writePromError(w, http.StatusBadRequest, err)
 			return
 		}
 		ctx, finish := e.tracker.Start(r.Context(), "promql", q)
 		if noCacheParam(r) {
 			ctx = frontend.WithoutCache(ctx)
 		}
-		m, err := e.QueryRangeContext(ctx, q, start.UnixMilli(), end.UnixMilli(), time.Duration(stepF*float64(time.Second)))
+		m, err := e.RangeContext(ctx, expr, start.UnixMilli(), end.UnixMilli(), step)
+		points := 0
+		for _, s := range m {
+			points += len(s.Points)
+		}
+		stats.FromContext(ctx).AddEntriesReturned(int64(points))
 		snap := finish(err)
 		if err != nil {
-			writePromError(w, queryErrorCode(err), err)
+			writePromError(w, stats.HTTPStatus(err), err)
 			return
 		}
 		result := make([]map[string]interface{}, 0, len(m))
@@ -100,15 +116,6 @@ func (e *Engine) Handler() http.Handler {
 func noCacheParam(r *http.Request) bool {
 	v := r.URL.Query().Get("nocache")
 	return v == "1" || v == "true"
-}
-
-// queryErrorCode maps a frontend load-shed rejection to 429 so clients
-// can tell "back off" from "bad query"; everything else stays 400.
-func queryErrorCode(err error) int {
-	if errors.Is(err, stats.ErrQueueFull) {
-		return http.StatusTooManyRequests
-	}
-	return http.StatusBadRequest
 }
 
 func parseUnixSeconds(s string, def time.Time) (time.Time, error) {
@@ -138,7 +145,11 @@ func writePromJSON(w http.ResponseWriter, resultType string, result interface{},
 func writePromError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	errorType := "bad_data"
+	if code != http.StatusBadRequest {
+		errorType = "execution" // the query was well-formed; running it failed
+	}
 	_ = json.NewEncoder(w).Encode(map[string]interface{}{
-		"status": "error", "errorType": "bad_data", "error": err.Error(),
+		"status": "error", "errorType": errorType, "error": err.Error(),
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -54,9 +55,13 @@ func TestHTTPInstantQuery(t *testing.T) {
 		t.Fatalf("%+v", result)
 	}
 
-	code, out = getProm(t, srv.URL+`/api/v1/query?query=((((`)
-	if code != 400 || out.Status != "error" {
-		t.Fatalf("%d %+v", code, out)
+	// Syntax errors and the operand shapes outside the supported subset
+	// are both the client's: 400, never a failed evaluation.
+	for _, q := range []string{`((((`, `node_temp_celsius / node_temp_celsius`, `1 > 2`} {
+		code, out = getProm(t, srv.URL+`/api/v1/query?query=`+url.QueryEscape(q))
+		if code != 400 || out.Status != "error" {
+			t.Fatalf("%s: %d %+v", q, code, out)
+		}
 	}
 }
 

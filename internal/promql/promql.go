@@ -37,20 +37,13 @@ type Sample struct {
 // Vector is an instant query result set.
 type Vector []Sample
 
-// Point is one value in a range query series.
-type Point struct {
-	T int64
-	V float64
-}
-
-// Series is a labelled point sequence.
-type Series struct {
-	Labels labels.Labels
-	Points []Point
-}
-
-// Matrix is a range query result.
-type Matrix []Series
+// Point, Series and Matrix are the range query result model, defined
+// once in frontend and shared with logql; T is milliseconds here.
+type (
+	Point  = frontend.Point
+	Series = frontend.Series
+	Matrix = frontend.Matrix
+)
 
 // ---- AST ----
 
@@ -294,15 +287,35 @@ func (p *promParser) parseCmp() (Expr, error) {
 		return nil, err
 	}
 	t := p.peek()
-	if t.kind == "op" && (t.text == ">" || t.text == ">=" || t.text == "<" || t.text == "<=" || t.text == "==" || t.text == "!=") {
+	if t.kind == "op" && isCmpOp(t.text) {
 		p.next()
 		rhs, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &BinExpr{Op: t.text, LHS: lhs, RHS: rhs}, nil
+		return p.newBin(t.text, lhs, rhs)
 	}
 	return lhs, nil
+}
+
+func isCmpOp(op string) bool {
+	return op == ">" || op == ">=" || op == "<" || op == "<=" || op == "==" || op == "!="
+}
+
+// newBin builds a binary expression, rejecting the operand shapes evalBin
+// does not implement (it tells scalars from vectors by the same
+// NumberExpr test) while the query is still a parse error — a 400 — and
+// not a failed evaluation.
+func (p *promParser) newBin(op string, lhs, rhs Expr) (Expr, error) {
+	_, lScalar := lhs.(NumberExpr)
+	_, rScalar := rhs.(NumberExpr)
+	switch {
+	case !lScalar && !rScalar:
+		return nil, p.errf("vector-to-vector %q not supported in this subset", op)
+	case lScalar && rScalar && isCmpOp(op):
+		return nil, p.errf("scalar comparison without vector operand")
+	}
+	return &BinExpr{Op: op, LHS: lhs, RHS: rhs}, nil
 }
 
 func (p *promParser) parseAdd() (Expr, error) {
@@ -320,7 +333,9 @@ func (p *promParser) parseAdd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinExpr{Op: t.text, LHS: lhs, RHS: rhs}
+		if lhs, err = p.newBin(t.text, lhs, rhs); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -339,7 +354,9 @@ func (p *promParser) parseMul() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinExpr{Op: t.text, LHS: lhs, RHS: rhs}
+		if lhs, err = p.newBin(t.text, lhs, rhs); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -829,7 +846,7 @@ func (e *Engine) evalBin(ctx context.Context, ex *BinExpr, ts int64) (Vector, er
 	}
 	_, lScalar := ex.LHS.(NumberExpr)
 	_, rScalar := ex.RHS.(NumberExpr)
-	isCmp := ex.Op == ">" || ex.Op == ">=" || ex.Op == "<" || ex.Op == "<=" || ex.Op == "==" || ex.Op == "!="
+	isCmp := isCmpOp(ex.Op)
 
 	apply := func(a, b float64) (float64, bool) {
 		switch ex.Op {

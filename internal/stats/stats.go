@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,24 @@ var (
 	// its bounded admission queue is full; HTTP handlers map it to 429.
 	ErrQueueFull = errors.New("query rejected: frontend queue full")
 )
+
+// HTTPStatus is the one mapping from a query error to an HTTP status,
+// shared by every query endpoint: a shed query is backpressure (429), a
+// query that outlived its wall-clock budget is an upstream timeout
+// (504), and any other engine-side failure — the byte budget, an
+// operator kill, a store error — is a 500: the request was well-formed
+// and the server did not answer it. Handlers reject parse and parameter
+// errors with 400 before they query, so those never reach here.
+func HTTPStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrQueryTimeout):
+		return http.StatusGatewayTimeout
+	default:
+		return http.StatusInternalServerError
+	}
+}
 
 // Context accumulates one query's running statistics. All counters are
 // atomics: engine workers flush local Worker shards into it concurrently

@@ -62,6 +62,12 @@ rm -rf "$DASHTMP"
 # (and every built-in meta-rule) must have a row in the README tables.
 go test -run 'TestMetricsDocumented' -count=1 ./internal/core/
 
+# The gate's benchmark harness is a module of its own (bench/go.mod), so
+# nothing above compiles it: vet and test it here, or an internal API
+# change breaks the harness without anyone noticing (~8 s).
+go -C bench vet ./...
+go -C bench test ./...
+
 # Smoke-run the tracked benchmark families (C1/C2/C5/E4/E7) and refresh
 # BENCH_ingest.json; full numbers come from `./bench.sh` without args.
 ./bench.sh short
