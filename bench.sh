@@ -5,8 +5,9 @@
 #
 #   ./bench.sh          full run (-benchtime 1s), the numbers that go
 #                       into EXPERIMENTS.md
-#   ./bench.sh short    quick run (-benchtime 100x), used by verify.sh
-#                       as a does-it-still-run smoke pass
+#   ./bench.sh short    quick run (-benchtime 100x), a does-it-still-run
+#                       smoke pass (it rewrites the tracked BENCH_*.json,
+#                       which is why verify.sh no longer runs it)
 #
 # Families (see bench_test.go):
 #   C1  BenchmarkOMNIIngestLogs / ...LogsParallel   msgs/s vs paper 400k/s

@@ -57,12 +57,12 @@ func TestQueryErrorStatusOnEveryEndpoint(t *testing.T) {
 		`/loki/api/v1/query?query=count_over_time({app="x"}[5m])`,
 		`/loki/api/v1/query_range?query={app="x"}`,
 		`/loki/api/v1/query_range?query=count_over_time({app="x"}[5m])`,
-		// Range functions, because a bare PromQL selector reads one sample
-		// per series and never looks at its context.
-		`/api/v1/query?query=max_over_time(up[5m])`,
-		`/api/v1/query_range?query=max_over_time(up[5m])`,
+		// Bare selectors: the cheapest PromQL node, one sample per series,
+		// must notice a dead context like every other.
+		`/api/v1/query?query=up`,
+		`/api/v1/query_range?query=up`,
 		`/query/logs?q={app="x"}`,
-		`/query/metrics?q=max_over_time(up[5m])`,
+		`/query/metrics?q=up`,
 	}
 	cases := []struct {
 		err  error

@@ -99,37 +99,34 @@ func (rc RuleConfig) holdDuration() (time.Duration, error) {
 // expressions are validated by the respective engines at Pipeline
 // construction.
 func ParseRules(rf RuleFile) ([]ruler.Rule, []vmalert.Rule, error) {
-	logRules := make([]ruler.Rule, 0, len(rf.LogRules))
-	for _, rc := range rf.LogRules {
-		d, err := rc.holdDuration()
-		if err != nil {
-			return nil, nil, err
-		}
-		ac, err := rc.Anomaly.toConfig(rc.Alert)
-		if err != nil {
-			return nil, nil, err
-		}
-		logRules = append(logRules, ruler.Rule{
-			Name: rc.Alert, Expr: rc.Expr, For: d,
-			Labels: rc.Labels, Annotations: rc.Annotations, Anomaly: ac,
-		})
+	logRules, err := parseRuleGroup(rf.LogRules)
+	if err != nil {
+		return nil, nil, err
 	}
-	metricRules := make([]vmalert.Rule, 0, len(rf.MetricRules))
-	for _, rc := range rf.MetricRules {
-		d, err := rc.holdDuration()
-		if err != nil {
-			return nil, nil, err
-		}
-		ac, err := rc.Anomaly.toConfig(rc.Alert)
-		if err != nil {
-			return nil, nil, err
-		}
-		metricRules = append(metricRules, vmalert.Rule{
-			Name: rc.Alert, Expr: rc.Expr, For: d,
-			Labels: rc.Labels, Annotations: rc.Annotations, Anomaly: ac,
-		})
+	metricRules, err := parseRuleGroup(rf.MetricRules)
+	if err != nil {
+		return nil, nil, err
 	}
 	return logRules, metricRules, nil
+}
+
+func parseRuleGroup(rcs []RuleConfig) ([]ruler.Rule, error) {
+	rules := make([]ruler.Rule, 0, len(rcs))
+	for _, rc := range rcs {
+		d, err := rc.holdDuration()
+		if err != nil {
+			return nil, err
+		}
+		ac, err := rc.Anomaly.toConfig(rc.Alert)
+		if err != nil {
+			return nil, err
+		}
+		rules = append(rules, ruler.Rule{
+			Name: rc.Alert, Expr: rc.Expr, For: d,
+			Labels: rc.Labels, Annotations: rc.Annotations, Anomaly: ac,
+		})
+	}
+	return rules, nil
 }
 
 // LoadRules reads and parses a JSON rule file.

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -93,5 +94,34 @@ func TestParseRulesEmpty(t *testing.T) {
 	lr, mr, err := ParseRules(RuleFile{})
 	if err != nil || len(lr) != 0 || len(mr) != 0 {
 		t.Fatalf("%v %v %v", lr, mr, err)
+	}
+}
+
+// One rule shape, one parser: a RuleConfig means the same rule whether
+// it is listed for the Ruler or for vmalert, and a bad one is rejected
+// the same way from either list.
+func TestRuleConfigParsesAlikeInBothGroups(t *testing.T) {
+	rc := RuleConfig{
+		Alert: "LogRateAnomaly", Expr: "whatever the engine parses", For: "90s",
+		Labels:      map[string]string{"severity": "warning"},
+		Annotations: map[string]string{"summary": "{{ $labels.app }} at {{ $value }} sigma"},
+		Anomaly:     &AnomalyConfig{Method: "seasonal", Sensitivity: 4, Season: "1h", Buckets: 6},
+	}
+	lr, mr, err := ParseRules(RuleFile{LogRules: []RuleConfig{rc}, MetricRules: []RuleConfig{rc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lr) != 1 || !reflect.DeepEqual(lr, mr) {
+		t.Fatalf("log_rules parsed to\n%+v\nmetric_rules to\n%+v", lr, mr)
+	}
+	if r := lr[0]; r.Name != rc.Alert || r.Expr != rc.Expr || r.For != 90*time.Second ||
+		r.Anomaly == nil || r.Anomaly.Method != anomaly.MethodSeasonal || r.Anomaly.Season != time.Hour {
+		t.Fatalf("%+v", r)
+	}
+	rc.For = "tomorrow"
+	_, _, logErr := ParseRules(RuleFile{LogRules: []RuleConfig{rc}})
+	_, _, metricErr := ParseRules(RuleFile{MetricRules: []RuleConfig{rc}})
+	if logErr == nil || metricErr == nil || logErr.Error() != metricErr.Error() {
+		t.Fatalf("bad for: %v vs %v", logErr, metricErr)
 	}
 }

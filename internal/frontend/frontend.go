@@ -100,6 +100,18 @@ type Config struct {
 	TenantOverrides *tenant.Overrides
 }
 
+// Sample is one labelled value of an instant query result; T is in
+// engine-native time units.
+type Sample struct {
+	Labels labels.Labels
+	T      int64
+	V      float64
+}
+
+// Vector is an instant query result, the type both engines return and
+// the rule evaluator consumes.
+type Vector []Sample
+
 // Point is one (timestamp, value) sample in engine-native time units.
 type Point struct {
 	T int64

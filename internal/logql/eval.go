@@ -22,19 +22,12 @@ type Querier interface {
 	SelectContext(ctx context.Context, sel []*labels.Matcher, mint, maxt int64) ([]loki.SelectedStream, error)
 }
 
-// Sample is one metric query result value.
-type Sample struct {
-	Labels labels.Labels
-	T      int64 // Unix nanoseconds
-	V      float64
-}
-
-// Vector is an instant query result.
-type Vector []Sample
-
-// Point, Series and Matrix are the range query result model, defined
-// once in frontend and shared with promql; T is Unix nanoseconds here.
+// Sample/Vector (instant) and Point/Series/Matrix (range) are the query
+// result model, defined once in frontend and shared with promql; T is
+// Unix nanoseconds here.
 type (
+	Sample = frontend.Sample
+	Vector = frontend.Vector
 	Point  = frontend.Point
 	Series = frontend.Series
 	Matrix = frontend.Matrix

@@ -27,19 +27,12 @@ import (
 // DefaultLookback is the instant-vector staleness window.
 const DefaultLookback = 5 * time.Minute
 
-// Sample is one instant query result.
-type Sample struct {
-	Labels labels.Labels
-	T      int64 // ms
-	V      float64
-}
-
-// Vector is an instant query result set.
-type Vector []Sample
-
-// Point, Series and Matrix are the range query result model, defined
-// once in frontend and shared with logql; T is milliseconds here.
+// Sample/Vector (instant) and Point/Series/Matrix (range) are the query
+// result model, defined once in frontend and shared with logql; T is
+// milliseconds here.
 type (
+	Sample = frontend.Sample
+	Vector = frontend.Vector
 	Point  = frontend.Point
 	Series = frontend.Series
 	Matrix = frontend.Matrix
@@ -592,6 +585,11 @@ func (e *Engine) Instant(expr Expr, ts int64) (Vector, error) {
 // InstantContext is Instant with cancellation and per-query statistics
 // carried by ctx.
 func (e *Engine) InstantContext(ctx context.Context, expr Expr, ts int64) (Vector, error) {
+	// Checked here, once, for every node type: a bare selector reads one
+	// sample per series and would otherwise never look at its context.
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
+	}
 	stats.FromContext(ctx).MarkExec()
 	switch ex := expr.(type) {
 	case NumberExpr:

@@ -1,10 +1,14 @@
 package promql
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
+	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
+	"shastamon/internal/stats"
 	"shastamon/internal/tsdb"
 )
 
@@ -264,6 +268,46 @@ func TestRangeQuery(t *testing.T) {
 	}
 	if m[0].Points[5].V != 10 {
 		t.Fatalf("%+v", m[0].Points)
+	}
+}
+
+// Every node type — the bare selector included, which reads one sample
+// per series and has no loop to check in — returns the context's cause
+// once the context is done, so a range evaluation dead on arrival stops
+// at its first step (8.64e7 of them here: a day at the 1 ms minimum),
+// with and without a frontend in the path.
+func TestDeadContextStopsEveryNode(t *testing.T) {
+	db, mono := setupDB(t)
+	app(t, db, "up", []string{"job", "node"}, 1000, 1)
+	split := NewEngine(db)
+	split.SetFrontend(frontend.New(frontend.Config{}))
+	for _, q := range []string{`up`, `42`, `absent(up)`, `max_over_time(up[5m])`, `sum(up)`, `up == 0`, `up * 2`} {
+		expr, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cause := range []error{stats.ErrKilled, stats.ErrQueryTimeout, context.Canceled} {
+			ctx, cancel := context.WithCancelCause(context.Background())
+			cancel(cause)
+			if _, err := mono.InstantContext(ctx, expr, 2000); !errors.Is(err, cause) {
+				t.Errorf("instant %s: err = %v, want %v", q, err, cause)
+			}
+			for name, eng := range map[string]*Engine{"mono": mono, "frontend": split} {
+				done := make(chan error, 1)
+				go func() {
+					_, err := eng.RangeContext(ctx, expr, 0, (24 * time.Hour).Milliseconds(), time.Millisecond)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if !errors.Is(err, cause) {
+						t.Errorf("range %s (%s): err = %v, want %v", q, name, err, cause)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("range %s (%s): a query dead on arrival (%v) kept evaluating steps", q, name, cause)
+				}
+			}
+		}
 	}
 }
 

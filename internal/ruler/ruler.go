@@ -1,12 +1,18 @@
-// Package ruler implements the Loki Ruler: "a component that enables
-// assessment of a collection of configurable queries and executes an
-// action based on the outcome". It evaluates LogQL alerting rules on an
-// interval and forwards firing alerts to the Alertmanager, holding each
-// alert through its `for:` duration first — exactly the rule lifecycle of
-// the paper's Fig. 8.
+// Package ruler is the alerting-rule lifecycle of the paper's Fig. 8 —
+// evaluate `expr`, hold each matching series through its `for:`
+// duration, fire, resolve when it stops matching, expanding
+// `{{ $labels.x }}` annotations — implemented once for both alerting
+// components. An evaluator is bound to a component by two pieces of
+// data: its name, from which metric families, span names and error
+// prefixes derive, and a compile function that turns a rule expression
+// into an instant query. This package also holds the LogQL binding, the
+// Loki Ruler: "a component that enables assessment of a collection of
+// configurable queries and executes an action based on the outcome".
+// Package vmalert is the PromQL binding.
 package ruler
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"regexp"
@@ -16,6 +22,7 @@ import (
 
 	"shastamon/internal/alertmanager"
 	"shastamon/internal/anomaly"
+	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 	"shastamon/internal/logql"
 	"shastamon/internal/obs"
@@ -24,7 +31,7 @@ import (
 // Rule is one alerting rule in the Loki/Prometheus rule format.
 type Rule struct {
 	Name        string            // alert: name
-	Expr        string            // LogQL metric expression
+	Expr        string            // LogQL or PromQL expression; any returned sample is "true"
 	For         time.Duration     // hold duration before firing
 	Labels      map[string]string // added to the alert
 	Annotations map[string]string // templated with {{ $labels.x }} / {{ $value }}
@@ -41,10 +48,15 @@ type Notifier interface {
 	Receive(alerts ...alertmanager.Alert)
 }
 
+// QueryFunc evaluates one compiled rule expression at an instant. It
+// hides the query language and the engine's timestamp unit.
+type QueryFunc func(at time.Time) (frontend.Vector, error)
+
 type compiledRule struct {
-	rule Rule
-	expr logql.MetricExpr
-	det  *anomaly.Detector // non-nil for anomaly rules
+	rule  Rule
+	query QueryFunc
+	det   *anomaly.Detector // non-nil for anomaly rules
+	state map[labels.Fingerprint]*alertState
 }
 
 type alertState struct {
@@ -54,12 +66,12 @@ type alertState struct {
 	value       float64
 }
 
-// Ruler evaluates rules against a LogQL engine.
+// Ruler evaluates alerting rules for one component ("ruler", "vmalert").
 type Ruler struct {
-	engine   *logql.Engine
-	notifier Notifier
-	now      func() time.Time
-	tracer   *obs.Tracer
+	component string
+	notifier  Notifier
+	now       func() time.Time
+	tracer    *obs.Tracer
 
 	reg      *obs.Registry
 	evalsCtr *obs.Counter
@@ -76,58 +88,64 @@ type Ruler struct {
 
 	mu    sync.Mutex
 	rules []compiledRule
-	state []map[labels.Fingerprint]*alertState
-
-	evals int64
 }
 
-// New compiles the rules and returns a ruler. Rule names must be unique
-// and expressions must be metric queries.
+// New compiles the rules and returns the Loki Ruler. Rule names must be
+// unique and expressions must be LogQL metric queries.
 func New(engine *logql.Engine, notifier Notifier, now func() time.Time, rules ...Rule) (*Ruler, error) {
-	if engine == nil || notifier == nil {
+	if engine == nil {
 		return nil, fmt.Errorf("ruler: engine and notifier required")
+	}
+	return NewEvaluator("ruler", func(expr string) (QueryFunc, error) {
+		e, err := logql.ParseMetricExpr(expr)
+		if err != nil {
+			return nil, err
+		}
+		return func(at time.Time) (frontend.Vector, error) { return engine.Instant(e, at.UnixNano()) }, nil
+	}, notifier, now, rules...)
+}
+
+// NewEvaluator returns an evaluator for the named component whose rule
+// expressions compile turns into instant queries.
+func NewEvaluator(component string, compile func(expr string) (QueryFunc, error), notifier Notifier, now func() time.Time, rules ...Rule) (*Ruler, error) {
+	if notifier == nil {
+		return nil, fmt.Errorf("%s: engine and notifier required", component)
 	}
 	if now == nil {
 		now = time.Now
 	}
-	r := &Ruler{engine: engine, notifier: notifier, now: now, reg: obs.NewRegistry()}
-	r.evalsCtr = r.reg.Counter(obs.Namespace+"ruler_evaluations_total",
+	r := &Ruler{component: component, notifier: notifier, now: now, reg: obs.NewRegistry()}
+	r.evalsCtr = r.reg.Counter(obs.Namespace+component+"_evaluations_total",
 		"Rule evaluation rounds run.")
-	r.evalDur = r.reg.Histogram(obs.Namespace+"ruler_evaluation_duration_seconds",
+	r.evalDur = r.reg.Histogram(obs.Namespace+component+"_evaluation_duration_seconds",
 		"Wall time of one full evaluation round.", obs.DefBuckets)
-	r.firedVec = r.reg.CounterVec(obs.Namespace+"ruler_alerts_fired_total",
+	r.firedVec = r.reg.CounterVec(obs.Namespace+component+"_alerts_fired_total",
 		"Alerts transitioned to firing, by rule.", "rule")
 	r.ruleDur = r.reg.HistogramVec(obs.Namespace+"rule_eval_seconds",
 		"Wall time of one rule's evaluation, by rule.", obs.DefBuckets, "rule")
 	seen := map[string]bool{}
 	for _, rule := range rules {
 		if rule.Name == "" {
-			return nil, fmt.Errorf("ruler: rule needs a name: %+v", rule)
+			return nil, fmt.Errorf("%s: rule needs a name: %+v", component, rule)
 		}
 		if seen[rule.Name] {
-			return nil, fmt.Errorf("ruler: duplicate rule %q", rule.Name)
+			return nil, fmt.Errorf("%s: duplicate rule %q", component, rule.Name)
 		}
 		seen[rule.Name] = true
-		expr, err := logql.ParseMetricExpr(rule.Expr)
+		query, err := compile(rule.Expr)
 		if err != nil {
-			return nil, fmt.Errorf("ruler: rule %q: %w", rule.Name, err)
+			return nil, fmt.Errorf("%s: rule %q: %w", component, rule.Name, err)
 		}
-		cr := compiledRule{rule: rule, expr: expr}
+		cr := compiledRule{rule: rule, query: query, state: map[labels.Fingerprint]*alertState{}}
 		if rule.Anomaly != nil {
-			det, err := anomaly.NewDetector(*rule.Anomaly)
-			if err != nil {
-				return nil, fmt.Errorf("ruler: rule %q: %w", rule.Name, err)
+			if cr.det, err = anomaly.NewDetector(*rule.Anomaly); err != nil {
+				return nil, fmt.Errorf("%s: rule %q: %w", component, rule.Name, err)
 			}
-			cr.det = det
+			if r.anomEvals == nil {
+				r.registerAnomalyMetrics()
+			}
 		}
 		r.rules = append(r.rules, cr)
-		r.state = append(r.state, map[labels.Fingerprint]*alertState{})
-	}
-	for _, cr := range r.rules {
-		if cr.det != nil {
-			r.registerAnomalyMetrics()
-			break
-		}
 	}
 	return r, nil
 }
@@ -148,8 +166,8 @@ func (r *Ruler) registerAnomalyMetrics() {
 // detect filters an instant vector through the rule's streaming
 // detector: only anomalous samples survive, carrying the signed score
 // (sigmas) as their value, and the detector self-metrics are refreshed.
-func (r *Ruler) detect(cr compiledRule, vec logql.Vector, now time.Time) logql.Vector {
-	out := make(logql.Vector, 0, len(vec))
+func (r *Ruler) detect(cr compiledRule, vec frontend.Vector, now time.Time) frontend.Vector {
+	out := make(frontend.Vector, 0, len(vec))
 	var maxAbs float64
 	for _, sample := range vec {
 		sc := cr.det.Observe(uint64(sample.Labels.Fingerprint()), now, sample.V)
@@ -176,26 +194,33 @@ func (r *Ruler) detect(cr compiledRule, vec logql.Vector, now time.Time) logql.V
 	return out
 }
 
-// Metrics exposes the ruler's self-monitoring registry.
+// Metrics exposes the evaluator's self-monitoring registry.
 func (r *Ruler) Metrics() *obs.Registry { return r.reg }
 
-// SetTracer attaches an event tracer; firing alerts record a "ruler.fire"
-// stage on the trace of the newest event from the same component.
+// SetTracer attaches an event tracer; firing alerts record a
+// "<component>.fire" stage on the trace of the newest event from the
+// same hardware component or subsystem.
 func (r *Ruler) SetTracer(t *obs.Tracer) { r.tracer = t }
 
-// traceKey extracts the correlation key from an alert label set: the
-// component xname, carried as the Context stream label for Redfish events.
+// traceKeyLabels are the label names tried, in order, as an alert's
+// trace correlation key. Hardware alerts carry an xname (or the Context
+// stream label of Redfish events); the built-in meta-alerts about the
+// pipeline itself are keyed by whichever subsystem dimension they fire on.
+var traceKeyLabels = []string{"xname", "Context", "dependency", "target", "topic", "stage", "rule"}
+
 func traceKey(ls labels.Labels) string {
-	if v := ls.Get("Context"); v != "" {
-		return v
+	for _, name := range traceKeyLabels {
+		if v := ls.Get(name); v != "" {
+			return v
+		}
 	}
-	return ls.Get("xname")
+	return ""
 }
 
 var tmplVar = regexp.MustCompile(`\{\{\s*\$(labels\.([a-zA-Z_][a-zA-Z0-9_]*)|value)\s*\}\}`)
 
 // ExpandTemplate substitutes {{ $labels.name }} and {{ $value }} in rule
-// annotations; shared with vmalert.
+// annotations.
 func ExpandTemplate(s string, ls labels.Labels, value float64) string {
 	return tmplVar.ReplaceAllStringFunc(s, func(m string) string {
 		sub := tmplVar.FindStringSubmatch(m)
@@ -206,90 +231,93 @@ func ExpandTemplate(s string, ls labels.Labels, value float64) string {
 	})
 }
 
-// EvalOnce evaluates every rule at the ruler's current time and sends
-// newly-firing and newly-resolved alerts to the notifier. It returns the
-// alerts sent.
+// EvalOnce evaluates every rule at the evaluator's current time and
+// sends newly-firing and newly-resolved alerts to the notifier. It
+// returns the alerts sent. A rule whose query fails keeps its state
+// untouched and does not stop the round: the other rules still evaluate
+// and deliver, and the per-rule errors come back joined.
 func (r *Ruler) EvalOnce() ([]alertmanager.Alert, error) {
 	now := r.now()
-	ts := now.UnixNano()
 	t0 := time.Now()
 	r.mu.Lock()
 	defer func() {
 		r.mu.Unlock()
 		r.evalDur.Observe(time.Since(t0).Seconds())
 	}()
-	r.evals++
 	r.evalsCtr.Inc()
 	var sent []alertmanager.Alert
-	for i, cr := range r.rules {
+	var errs []error
+	for _, cr := range r.rules {
 		rt0 := time.Now()
-		vec, err := r.engine.Instant(cr.expr, ts)
+		vec, err := cr.query(now)
 		if err != nil {
-			return sent, fmt.Errorf("ruler: rule %q: %w", cr.rule.Name, err)
+			errs = append(errs, fmt.Errorf("%s: rule %q: %w", r.component, cr.rule.Name, err))
+			continue
 		}
 		if cr.det != nil {
 			vec = r.detect(cr, vec, now)
 		}
 		active := map[labels.Fingerprint]bool{}
 		for _, sample := range vec {
-			alertLbls := r.alertLabels(cr.rule, sample.Labels)
+			b := labels.NewBuilder(sample.Labels)
+			b.Set("alertname", cr.rule.Name)
+			for k, v := range cr.rule.Labels {
+				b.Set(k, v)
+			}
+			alertLbls := b.Labels()
 			fp := alertLbls.Fingerprint()
 			active[fp] = true
-			st, ok := r.state[i][fp]
+			st, ok := cr.state[fp]
 			if !ok {
 				st = &alertState{activeSince: now, labels: alertLbls}
-				r.state[i][fp] = st
+				cr.state[fp] = st
 			}
 			st.value = sample.V
 			if !st.firing && now.Sub(st.activeSince) >= cr.rule.For {
 				st.firing = true
-				sent = append(sent, r.buildAlert(cr.rule, st, now, time.Time{}))
+				sent = append(sent, buildAlert(cr.rule, st, now, time.Time{}))
 				r.firedVec.With(cr.rule.Name).Inc()
-				// Timed fire span on the originating event's trace; when no
-				// trace exists for the key (log-derived alerts with no
-				// Redfish origin) mint one at fire time so downstream
-				// delivery spans and latency close-out still have a home.
-				key := traceKey(st.labels)
-				end := now.Add(time.Since(t0))
-				id := r.tracer.SpanByKey(key, "ruler.fire", now, end, cr.rule.Name)
-				if id == "" && key != "" {
-					id = r.tracer.Start(key, now, "ruler:"+cr.rule.Name)
-					r.tracer.Span(id, "ruler.fire", now, end, cr.rule.Name)
-				}
-				if cr.det != nil && id != "" {
-					r.tracer.Span(id, "anomaly.detect", st.activeSince, end,
-						fmt.Sprintf("%s %+.1fσ (%s)", cr.rule.Name, st.value, cr.det.Config().Method))
-				}
+				r.traceFire(cr, st, now, now.Add(time.Since(t0)))
 			}
 		}
 		// Series that stopped matching: resolve if firing, forget otherwise.
-		for fp, st := range r.state[i] {
+		for fp, st := range cr.state {
 			if active[fp] {
 				continue
 			}
 			if st.firing {
-				sent = append(sent, r.buildAlert(cr.rule, st, st.activeSince, now))
+				sent = append(sent, buildAlert(cr.rule, st, st.activeSince, now))
 			}
-			delete(r.state[i], fp)
+			delete(cr.state, fp)
 		}
 		r.ruleDur.With(cr.rule.Name).Observe(time.Since(rt0).Seconds())
 	}
 	if len(sent) > 0 {
 		r.notifier.Receive(sent...)
 	}
-	return sent, nil
+	return sent, errors.Join(errs...)
 }
 
-func (r *Ruler) alertLabels(rule Rule, sampleLbls labels.Labels) labels.Labels {
-	b := labels.NewBuilder(sampleLbls)
-	b.Set("alertname", rule.Name)
-	for k, v := range rule.Labels {
-		b.Set(k, v)
+// traceFire records the timed fire span on the originating event's
+// trace. When no trace exists for the key (log-derived alerts with no
+// Redfish origin, meta-alerts about the pipeline itself) it mints one at
+// fire time so downstream delivery spans and latency close-out still
+// have a home.
+func (r *Ruler) traceFire(cr compiledRule, st *alertState, now, end time.Time) {
+	key := traceKey(st.labels)
+	stage := r.component + ".fire"
+	id := r.tracer.SpanByKey(key, stage, now, end, cr.rule.Name)
+	if id == "" && key != "" {
+		id = r.tracer.Start(key, now, r.component+":"+cr.rule.Name)
+		r.tracer.Span(id, stage, now, end, cr.rule.Name)
 	}
-	return b.Labels()
+	if cr.det != nil && id != "" {
+		r.tracer.Span(id, "anomaly.detect", st.activeSince, end,
+			fmt.Sprintf("%s %+.1fσ (%s)", cr.rule.Name, st.value, cr.det.Config().Method))
+	}
 }
 
-func (r *Ruler) buildAlert(rule Rule, st *alertState, startsAt, endsAt time.Time) alertmanager.Alert {
+func buildAlert(rule Rule, st *alertState, startsAt, endsAt time.Time) alertmanager.Alert {
 	ann := make(map[string]string, len(rule.Annotations))
 	for k, v := range rule.Annotations {
 		ann[k] = ExpandTemplate(v, st.labels, st.value)
@@ -307,34 +335,10 @@ func (r *Ruler) buildAlert(rule Rule, st *alertState, startsAt, endsAt time.Time
 func (r *Ruler) Pending(ruleName string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, cr := range r.rules {
+	for _, cr := range r.rules {
 		if cr.rule.Name == ruleName {
-			return len(r.state[i])
+			return len(cr.state)
 		}
 	}
 	return 0
-}
-
-// Evals returns the number of evaluation rounds run.
-func (r *Ruler) Evals() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.evals
-}
-
-// Run evaluates on the interval until stop is closed. Evaluation errors
-// stop the loop and are returned.
-func (r *Ruler) Run(interval time.Duration, stop <-chan struct{}) error {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return nil
-		case <-t.C:
-			if _, err := r.EvalOnce(); err != nil {
-				return err
-			}
-		}
-	}
 }

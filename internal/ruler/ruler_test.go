@@ -1,7 +1,6 @@
-package ruler
+package ruler_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -9,80 +8,25 @@ import (
 	"shastamon/internal/labels"
 	"shastamon/internal/logql"
 	"shastamon/internal/loki"
+	"shastamon/internal/ruler"
 )
 
-type fakeNotifier struct {
-	mu     sync.Mutex
-	alerts []alertmanager.Alert
-}
+// fakeNotifier records what an evaluator delivered.
+type fakeNotifier struct{ alerts []alertmanager.Alert }
 
-func (f *fakeNotifier) Receive(alerts ...alertmanager.Alert) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.alerts = append(f.alerts, alerts...)
-}
+func (f *fakeNotifier) Receive(alerts ...alertmanager.Alert) { f.alerts = append(f.alerts, alerts...) }
 
-func (f *fakeNotifier) all() []alertmanager.Alert {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]alertmanager.Alert(nil), f.alerts...)
-}
+type clock struct{ t time.Time }
 
-type clock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *clock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-func (c *clock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
+func (c *clock) Now() time.Time          { return c.t }
+func (c *clock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // The paper's leak alerting rule: "if the return value is greater than
 // zero and it lasts more than one minute, an alert will be generated".
 const leakRuleExpr = `sum(count_over_time({data_type="redfish_event"} |= "CabinetLeakDetected" | json [60m])) by (severity, cluster, Context, message_id, message) > 0`
 
-func setup(t *testing.T, rules ...Rule) (*loki.Store, *Ruler, *fakeNotifier, *clock) {
-	t.Helper()
-	store := loki.NewStore(loki.DefaultLimits())
-	engine := logql.NewEngine(store)
-	n := &fakeNotifier{}
-	ck := &clock{t: time.Date(2022, 3, 3, 1, 47, 0, 0, time.UTC)}
-	r, err := New(engine, n, ck.Now, rules...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return store, r, n, ck
-}
-
-func TestNewValidation(t *testing.T) {
-	store := loki.NewStore(loki.DefaultLimits())
-	engine := logql.NewEngine(store)
-	n := &fakeNotifier{}
-	if _, err := New(nil, n, nil); err == nil {
-		t.Fatal("nil engine accepted")
-	}
-	if _, err := New(engine, n, nil, Rule{Name: "", Expr: "rate({a=\"b\"}[1m])"}); err == nil {
-		t.Fatal("unnamed rule accepted")
-	}
-	if _, err := New(engine, n, nil, Rule{Name: "x", Expr: "{a=\"b\"}"}); err == nil {
-		t.Fatal("log query rule accepted")
-	}
-	if _, err := New(engine, n, nil,
-		Rule{Name: "x", Expr: `rate({a="b"}[1m])`},
-		Rule{Name: "x", Expr: `rate({a="b"}[1m])`}); err == nil {
-		t.Fatal("duplicate names accepted")
-	}
-}
-
 func TestLeakRuleFiresAfterFor(t *testing.T) {
-	rule := Rule{
+	rule := ruler.Rule{
 		Name:   "PerlmutterCabinetLeak",
 		Expr:   leakRuleExpr,
 		For:    time.Minute,
@@ -91,7 +35,13 @@ func TestLeakRuleFiresAfterFor(t *testing.T) {
 			"summary": "Leak at {{ $labels.Context }} ({{ $value }} events)",
 		},
 	}
-	store, r, n, ck := setup(t, rule)
+	store := loki.NewStore(loki.DefaultLimits())
+	n := &fakeNotifier{}
+	ck := &clock{t: time.Date(2022, 3, 3, 1, 47, 0, 0, time.UTC)}
+	r, err := ruler.New(logql.NewEngine(store), n, ck.Now, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Push the paper's leak event.
 	ls := labels.FromStrings("Context", "x1203c1b0", "cluster", "perlmutter", "data_type", "redfish_event")
@@ -131,8 +81,8 @@ func TestLeakRuleFiresAfterFor(t *testing.T) {
 	if a.Annotations["summary"] != "Leak at x1203c1b0 (1 events)" {
 		t.Fatalf("annotation: %q", a.Annotations["summary"])
 	}
-	if got := n.all(); len(got) != 1 {
-		t.Fatalf("notifier: %+v", got)
+	if len(n.alerts) != 1 {
+		t.Fatalf("notifier: %+v", n.alerts)
 	}
 
 	// Steady state: no renotification from the ruler (Alertmanager dedups).
@@ -143,106 +93,15 @@ func TestLeakRuleFiresAfterFor(t *testing.T) {
 	}
 }
 
-func TestRuleResolvesWhenConditionClears(t *testing.T) {
-	rule := Rule{Name: "Leak", Expr: leakRuleExpr, For: 0}
-	store, r, n, ck := setup(t, rule)
-	ls := labels.FromStrings("Context", "x1203c1b0", "cluster", "perlmutter", "data_type", "redfish_event")
-	line := `{"Severity":"Warning","MessageId":"CrayAlerts.1.0.CabinetLeakDetected","Message":"leak"}`
-	_ = store.Push([]loki.PushStream{{Labels: ls, Entries: []loki.Entry{{Timestamp: ck.Now().UnixNano(), Line: line}}}})
-
-	if _, err := r.EvalOnce(); err != nil {
-		t.Fatal(err)
-	}
-	// Jump past the 60m count_over_time window: the vector empties.
-	ck.Advance(2 * time.Hour)
-	sent, err := r.EvalOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sent) != 1 || !sent[0].Resolved(ck.Now()) {
-		t.Fatalf("resolution: %+v", sent)
-	}
-	if r.Pending("Leak") != 0 {
-		t.Fatal("state not cleaned")
-	}
-	if len(n.all()) != 2 {
-		t.Fatalf("notifier: %+v", n.all())
-	}
-}
-
-func TestPendingClearsWithoutFiring(t *testing.T) {
-	rule := Rule{Name: "Leak", Expr: leakRuleExpr, For: 10 * time.Minute}
-	store, r, n, ck := setup(t, rule)
-	ls := labels.FromStrings("Context", "x1203c1b0", "cluster", "perlmutter", "data_type", "redfish_event")
-	line := `{"Severity":"Warning","MessageId":"CrayAlerts.1.0.CabinetLeakDetected","Message":"leak"}`
-	_ = store.Push([]loki.PushStream{{Labels: ls, Entries: []loki.Entry{{Timestamp: ck.Now().UnixNano(), Line: line}}}})
-	_, _ = r.EvalOnce() // pending
-	ck.Advance(2 * time.Hour)
-	sent, _ := r.EvalOnce() // window empty before for: elapsed at an eval
-	if len(sent) != 0 || len(n.all()) != 0 {
-		t.Fatalf("pending alert leaked: %+v", n.all())
-	}
-}
-
-func TestPerSeriesStates(t *testing.T) {
-	rule := Rule{
-		Name: "SwitchOffline",
-		Expr: `sum(count_over_time({app="fabric_manager_monitor"} |= "fm_switch_offline" | pattern "[<severity>] problem:<problem>, xname:<xname>, state:<state>" [5m])) by (severity, problem, xname, state) > 0`,
-		For:  0,
-	}
-	store, r, _, ck := setup(t, rule)
-	ls := labels.FromStrings("app", "fabric_manager_monitor", "cluster", "perlmutter")
-	now := ck.Now().UnixNano()
-	_ = store.Push([]loki.PushStream{{Labels: ls, Entries: []loki.Entry{
-		{Timestamp: now - 1, Line: "[critical] problem:fm_switch_offline, xname:x1002c1r7b0, state:UNKNOWN"},
-		{Timestamp: now, Line: "[critical] problem:fm_switch_offline, xname:x1002c3r0b0, state:OFFLINE"},
-	}}})
-	sent, err := r.EvalOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sent) != 2 {
-		t.Fatalf("sent: %+v", sent)
-	}
-	xnames := map[string]bool{}
-	for _, a := range sent {
-		xnames[a.Labels.Get("xname")] = true
-	}
-	if !xnames["x1002c1r7b0"] || !xnames["x1002c3r0b0"] {
-		t.Fatalf("xnames: %v", xnames)
-	}
-}
-
 func TestExpandTemplate(t *testing.T) {
 	ls := labels.FromStrings("xname", "x1002c1r7b0", "state", "UNKNOWN")
-	got := ExpandTemplate("switch {{ $labels.xname }} went {{ $labels.state }} (value {{ $value }})", ls, 1)
+	got := ruler.ExpandTemplate("switch {{ $labels.xname }} went {{ $labels.state }} (value {{ $value }})", ls, 1)
 	want := "switch x1002c1r7b0 went UNKNOWN (value 1)"
 	if got != want {
 		t.Fatalf("got %q", got)
 	}
 	// Unknown labels expand to empty.
-	if ExpandTemplate("{{ $labels.none }}", ls, 0) != "" {
+	if ruler.ExpandTemplate("{{ $labels.none }}", ls, 0) != "" {
 		t.Fatal("unknown label not empty")
-	}
-}
-
-func TestRunLoopStops(t *testing.T) {
-	rule := Rule{Name: "Leak", Expr: leakRuleExpr}
-	_, r, _, _ := setup(t, rule)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- r.Run(time.Millisecond, stop) }()
-	deadline := time.After(2 * time.Second)
-	for r.Evals() < 3 {
-		select {
-		case <-deadline:
-			t.Fatal("too slow")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }

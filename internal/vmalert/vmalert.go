@@ -1,356 +1,39 @@
-// Package vmalert implements the metric alerting component of the paper's
+// Package vmalert is the metric alerting component of the paper's
 // pipeline: "vmalert, a component of the VictoriaMetrics cluster, queries
 // the database continuously with predefined alerting rules created by
 // NERSC. If the return value is true, vmalert sends an event to
-// AlertManager." Rules are PromQL threshold expressions with a `for:`
-// hold, identical in shape to the Loki Ruler's.
+// AlertManager." It is the PromQL binding of the one rule evaluator in
+// package ruler: rules, the `for:` hold, firing, resolution, tracing and
+// self-metrics are the Loki Ruler's, under the "vmalert" component name.
 package vmalert
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"sync"
 	"time"
 
-	"shastamon/internal/alertmanager"
-	"shastamon/internal/anomaly"
-	"shastamon/internal/labels"
-	"shastamon/internal/obs"
+	"shastamon/internal/frontend"
 	"shastamon/internal/promql"
 	"shastamon/internal/ruler"
-	"shastamon/internal/tsdb"
 )
 
-// Rule is one metric alerting rule.
-type Rule struct {
-	Name        string
-	Expr        string // PromQL expression; any returned sample is "true"
-	For         time.Duration
-	Labels      map[string]string
-	Annotations map[string]string
-	// Anomaly turns the rule predictive: Expr selects the series to
-	// watch, and instead of "any returned sample is true" each sample is
-	// scored by a streaming detector — only anomalous samples enter the
-	// usual For-hold/firing machinery, with the sample value replaced by
-	// the signed score in sigmas (so `{{ $value }}` renders the
-	// severity of the deviation, not the raw reading).
-	Anomaly *anomaly.Config
-}
+type (
+	// Rule is one metric alerting rule; Expr is PromQL.
+	Rule = ruler.Rule
+	// VMAlert evaluates rules against a PromQL engine.
+	VMAlert = ruler.Ruler
+)
 
-// RecordingRule periodically evaluates an expression and writes the
-// result back to the TSDB under a new metric name — vmalert's `record:`
-// rules, used to precompute expensive aggregates for dashboards.
-type RecordingRule struct {
-	Record string // new metric name
-	Expr   string
-	Labels map[string]string // added to every recorded sample
-}
-
-type compiledRule struct {
-	rule Rule
-	expr promql.Expr
-	det  *anomaly.Detector // non-nil for anomaly rules
-}
-
-type alertState struct {
-	activeSince time.Time
-	firing      bool
-	labels      labels.Labels
-	value       float64
-}
-
-type compiledRecording struct {
-	rule RecordingRule
-	expr promql.Expr
-}
-
-// VMAlert evaluates rules against a PromQL engine.
-type VMAlert struct {
-	engine   *promql.Engine
-	notifier ruler.Notifier
-	now      func() time.Time
-	tracer   *obs.Tracer
-
-	reg      *obs.Registry
-	evalsCtr *obs.Counter
-	evalDur  *obs.Histogram
-	ruleDur  *obs.HistogramVec
-	firedVec *obs.CounterVec
-
-	// Anomaly self-metrics, registered only when an anomaly rule exists.
-	anomEvals     *obs.CounterVec
-	anomDetects   *obs.CounterVec
-	anomScore     *obs.GaugeVec
-	anomSeries    *obs.GaugeVec
-	anomSaturated *obs.GaugeVec
-
-	mu         sync.Mutex
-	rules      []compiledRule
-	state      []map[labels.Fingerprint]*alertState
-	recordings []compiledRecording
-	recordDB   *tsdb.DB
-	evals      int64
-}
-
-// New compiles rules and returns a VMAlert.
+// New compiles the rules and returns a VMAlert. Rule names must be unique
+// and expressions must parse as PromQL.
 func New(engine *promql.Engine, notifier ruler.Notifier, now func() time.Time, rules ...Rule) (*VMAlert, error) {
-	if engine == nil || notifier == nil {
+	if engine == nil {
 		return nil, fmt.Errorf("vmalert: engine and notifier required")
 	}
-	if now == nil {
-		now = time.Now
-	}
-	v := &VMAlert{engine: engine, notifier: notifier, now: now, reg: obs.NewRegistry()}
-	v.evalsCtr = v.reg.Counter(obs.Namespace+"vmalert_evaluations_total",
-		"Rule evaluation rounds run.")
-	v.evalDur = v.reg.Histogram(obs.Namespace+"vmalert_evaluation_duration_seconds",
-		"Wall time of one full evaluation round.", obs.DefBuckets)
-	v.firedVec = v.reg.CounterVec(obs.Namespace+"vmalert_alerts_fired_total",
-		"Alerts transitioned to firing, by rule.", "rule")
-	v.ruleDur = v.reg.HistogramVec(obs.Namespace+"rule_eval_seconds",
-		"Wall time of one rule's evaluation, by rule.", obs.DefBuckets, "rule")
-	seen := map[string]bool{}
-	for _, rule := range rules {
-		if rule.Name == "" {
-			return nil, fmt.Errorf("vmalert: rule needs a name: %+v", rule)
-		}
-		if seen[rule.Name] {
-			return nil, fmt.Errorf("vmalert: duplicate rule %q", rule.Name)
-		}
-		seen[rule.Name] = true
-		expr, err := promql.Parse(rule.Expr)
+	return ruler.NewEvaluator("vmalert", func(expr string) (ruler.QueryFunc, error) {
+		e, err := promql.Parse(expr)
 		if err != nil {
-			return nil, fmt.Errorf("vmalert: rule %q: %w", rule.Name, err)
+			return nil, err
 		}
-		cr := compiledRule{rule: rule, expr: expr}
-		if rule.Anomaly != nil {
-			det, err := anomaly.NewDetector(*rule.Anomaly)
-			if err != nil {
-				return nil, fmt.Errorf("vmalert: rule %q: %w", rule.Name, err)
-			}
-			cr.det = det
-		}
-		v.rules = append(v.rules, cr)
-		v.state = append(v.state, map[labels.Fingerprint]*alertState{})
-	}
-	for _, cr := range v.rules {
-		if cr.det != nil {
-			v.registerAnomalyMetrics()
-			break
-		}
-	}
-	return v, nil
-}
-
-func (v *VMAlert) registerAnomalyMetrics() {
-	v.anomEvals = v.reg.CounterVec(obs.Namespace+"anomaly_evaluations_total",
-		"Samples scored by anomaly detectors, by rule.", "rule")
-	v.anomDetects = v.reg.CounterVec(obs.Namespace+"anomaly_detections_total",
-		"Samples judged anomalous, by rule.", "rule")
-	v.anomScore = v.reg.GaugeVec(obs.Namespace+"anomaly_score",
-		"Largest |score| (in sigmas) among warm samples in the last round, by rule.", "rule")
-	v.anomSeries = v.reg.GaugeVec(obs.Namespace+"anomaly_series",
-		"Series tracked by the detector, by rule.", "rule")
-	v.anomSaturated = v.reg.GaugeVec(obs.Namespace+"anomaly_detector_saturated",
-		"1 when detector state hit its memory bound and new series are dropped, by rule.", "rule")
-}
-
-// detect filters an instant vector through the rule's streaming
-// detector: only anomalous samples survive, carrying the signed score
-// (sigmas) as their value, and the detector self-metrics are refreshed.
-func (v *VMAlert) detect(cr compiledRule, vec promql.Vector, now time.Time) promql.Vector {
-	out := make(promql.Vector, 0, len(vec))
-	var maxAbs float64
-	for _, sample := range vec {
-		sc := cr.det.Observe(uint64(sample.Labels.Fingerprint()), now, sample.V)
-		if a := math.Abs(sc.Score); sc.Warm && a > maxAbs {
-			maxAbs = a
-		}
-		if !sc.Anomalous {
-			continue
-		}
-		sample.V = sc.Score
-		out = append(out, sample)
-	}
-	name := cr.rule.Name
-	v.anomEvals.With(name).Add(float64(len(vec)))
-	v.anomDetects.With(name).Add(float64(len(out)))
-	st := cr.det.Stats()
-	v.anomScore.With(name).Set(maxAbs)
-	v.anomSeries.With(name).Set(float64(st.Series))
-	saturated := 0.0
-	if st.Saturated {
-		saturated = 1
-	}
-	v.anomSaturated.With(name).Set(saturated)
-	return out
-}
-
-// Metrics exposes vmalert's self-monitoring registry.
-func (v *VMAlert) Metrics() *obs.Registry { return v.reg }
-
-// SetTracer attaches an event tracer; firing alerts record a
-// "vmalert.fire" stage on the trace of the newest event from the same
-// component (keyed by the xname label).
-func (v *VMAlert) SetTracer(t *obs.Tracer) { v.tracer = t }
-
-// AddRecordingRules registers recording rules that write their results
-// into db on every evaluation round.
-func (v *VMAlert) AddRecordingRules(db *tsdb.DB, rules ...RecordingRule) error {
-	if db == nil {
-		return fmt.Errorf("vmalert: recording rules need a db")
-	}
-	compiled := make([]compiledRecording, 0, len(rules))
-	for _, r := range rules {
-		if r.Record == "" {
-			return fmt.Errorf("vmalert: recording rule needs a name: %+v", r)
-		}
-		expr, err := promql.Parse(r.Expr)
-		if err != nil {
-			return fmt.Errorf("vmalert: recording rule %q: %w", r.Record, err)
-		}
-		compiled = append(compiled, compiledRecording{rule: r, expr: expr})
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.recordDB = db
-	v.recordings = append(v.recordings, compiled...)
-	return nil
-}
-
-// EvalOnce evaluates every rule at the current time and notifies state
-// transitions. It returns the alerts sent. Recording rules run first so
-// alerting rules can reference their output in the same round.
-func (v *VMAlert) EvalOnce() ([]alertmanager.Alert, error) {
-	now := v.now()
-	ms := now.UnixMilli()
-	t0 := time.Now()
-	v.mu.Lock()
-	defer func() {
-		v.mu.Unlock()
-		v.evalDur.Observe(time.Since(t0).Seconds())
-	}()
-	v.evals++
-	v.evalsCtr.Inc()
-	for _, cr := range v.recordings {
-		vec, err := v.engine.Instant(cr.expr, ms)
-		if err != nil {
-			return nil, fmt.Errorf("vmalert: recording rule %q: %w", cr.rule.Record, err)
-		}
-		for _, s := range vec {
-			b := labels.NewBuilder(s.Labels)
-			for k, val := range cr.rule.Labels {
-				b.Set(k, val)
-			}
-			if err := v.recordDB.AppendMetric(cr.rule.Record, b.Labels(), ms, s.V); err != nil && !errors.Is(err, tsdb.ErrOutOfOrder) {
-				return nil, err
-			}
-		}
-	}
-	var sent []alertmanager.Alert
-	for i, cr := range v.rules {
-		rt0 := time.Now()
-		vec, err := v.engine.Instant(cr.expr, ms)
-		if err != nil {
-			return sent, fmt.Errorf("vmalert: rule %q: %w", cr.rule.Name, err)
-		}
-		if cr.det != nil {
-			vec = v.detect(cr, vec, now)
-		}
-		active := map[labels.Fingerprint]bool{}
-		for _, sample := range vec {
-			b := labels.NewBuilder(sample.Labels)
-			b.Set("alertname", cr.rule.Name)
-			for k, val := range cr.rule.Labels {
-				b.Set(k, val)
-			}
-			alertLbls := b.Labels()
-			fp := alertLbls.Fingerprint()
-			active[fp] = true
-			st, ok := v.state[i][fp]
-			if !ok {
-				st = &alertState{activeSince: now, labels: alertLbls}
-				v.state[i][fp] = st
-			}
-			st.value = sample.V
-			if !st.firing && now.Sub(st.activeSince) >= cr.rule.For {
-				st.firing = true
-				sent = append(sent, v.buildAlert(cr.rule, st, now, time.Time{}))
-				v.firedVec.With(cr.rule.Name).Inc()
-				// Timed fire span; alerts without a pre-existing event trace
-				// (meta-alerts about the pipeline itself) mint one here so
-				// delivery spans and latency close-out attach to something.
-				key := vmTraceKey(alertLbls)
-				end := now.Add(time.Since(t0))
-				id := v.tracer.SpanByKey(key, "vmalert.fire", now, end, cr.rule.Name)
-				if id == "" && key != "" {
-					id = v.tracer.Start(key, now, "vmalert:"+cr.rule.Name)
-					v.tracer.Span(id, "vmalert.fire", now, end, cr.rule.Name)
-				}
-				if cr.det != nil && id != "" {
-					v.tracer.Span(id, "anomaly.detect", st.activeSince, end,
-						fmt.Sprintf("%s %+.1fσ (%s)", cr.rule.Name, st.value, cr.det.Config().Method))
-				}
-			}
-		}
-		for fp, st := range v.state[i] {
-			if active[fp] {
-				continue
-			}
-			if st.firing {
-				sent = append(sent, v.buildAlert(cr.rule, st, st.activeSince, now))
-			}
-			delete(v.state[i], fp)
-		}
-		v.ruleDur.With(cr.rule.Name).Observe(time.Since(rt0).Seconds())
-	}
-	if len(sent) > 0 {
-		v.notifier.Receive(sent...)
-	}
-	return sent, nil
-}
-
-// vmTraceKey extracts the trace correlation key from an alert label set.
-// Hardware alerts carry an xname (or the Context stream label); the
-// built-in meta-alerts about the pipeline itself are keyed by whichever
-// subsystem dimension they fire on.
-func vmTraceKey(ls labels.Labels) string {
-	for _, name := range []string{"xname", "Context", "dependency", "target", "topic", "stage", "rule"} {
-		if val := ls.Get(name); val != "" {
-			return val
-		}
-	}
-	return ""
-}
-
-func (v *VMAlert) buildAlert(rule Rule, st *alertState, startsAt, endsAt time.Time) alertmanager.Alert {
-	ann := make(map[string]string, len(rule.Annotations))
-	for k, val := range rule.Annotations {
-		ann[k] = ruler.ExpandTemplate(val, st.labels, st.value)
-	}
-	return alertmanager.Alert{Labels: st.labels, Annotations: ann, StartsAt: startsAt, EndsAt: endsAt}
-}
-
-// Evals returns the evaluation-round counter.
-func (v *VMAlert) Evals() int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.evals
-}
-
-// Run evaluates on the interval until stop closes.
-func (v *VMAlert) Run(interval time.Duration, stop <-chan struct{}) error {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return nil
-		case <-t.C:
-			if _, err := v.EvalOnce(); err != nil {
-				return err
-			}
-		}
-	}
+		return func(at time.Time) (frontend.Vector, error) { return engine.Instant(e, at.UnixMilli()) }, nil
+	}, notifier, now, rules...)
 }

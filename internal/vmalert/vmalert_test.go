@@ -1,7 +1,6 @@
 package vmalert
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -11,34 +10,17 @@ import (
 	"shastamon/internal/tsdb"
 )
 
-type fakeNotifier struct {
-	mu     sync.Mutex
-	alerts []alertmanager.Alert
-}
+// The rule lifecycle is tested once for both bindings in package ruler;
+// these are the paper's metric-rule shapes evaluated through PromQL.
 
-func (f *fakeNotifier) Receive(alerts ...alertmanager.Alert) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.alerts = append(f.alerts, alerts...)
-}
+type fakeNotifier struct{ alerts []alertmanager.Alert }
 
-func (f *fakeNotifier) all() []alertmanager.Alert {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]alertmanager.Alert(nil), f.alerts...)
-}
+func (f *fakeNotifier) Receive(alerts ...alertmanager.Alert) { f.alerts = append(f.alerts, alerts...) }
 
-type clock struct {
-	mu sync.Mutex
-	t  time.Time
-}
+type clock struct{ t time.Time }
 
-func (c *clock) Now() time.Time { c.mu.Lock(); defer c.mu.Unlock(); return c.t }
-func (c *clock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
+func (c *clock) Now() time.Time          { return c.t }
+func (c *clock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func setup(t *testing.T, rules ...Rule) (*tsdb.DB, *VMAlert, *fakeNotifier, *clock) {
 	t.Helper()
@@ -50,20 +32,6 @@ func setup(t *testing.T, rules ...Rule) (*tsdb.DB, *VMAlert, *fakeNotifier, *clo
 		t.Fatal(err)
 	}
 	return db, v, n, ck
-}
-
-func TestValidation(t *testing.T) {
-	db := tsdb.New()
-	n := &fakeNotifier{}
-	if _, err := New(nil, n, nil); err == nil {
-		t.Fatal("nil engine accepted")
-	}
-	if _, err := New(promql.NewEngine(db), n, nil, Rule{Name: "x", Expr: "(((("}); err == nil {
-		t.Fatal("bad expr accepted")
-	}
-	if _, err := New(promql.NewEngine(db), n, nil, Rule{Name: "x", Expr: "up"}, Rule{Name: "x", Expr: "up"}); err == nil {
-		t.Fatal("duplicate accepted")
-	}
 }
 
 func TestTemperatureAlertLifecycle(t *testing.T) {
@@ -113,8 +81,8 @@ func TestTemperatureAlertLifecycle(t *testing.T) {
 	if len(sent) != 1 || !sent[0].Resolved(ck.Now()) {
 		t.Fatalf("resolve: %+v", sent)
 	}
-	if len(n.all()) != 2 {
-		t.Fatalf("notifier: %d", len(n.all()))
+	if len(n.alerts) != 2 {
+		t.Fatalf("notifier: %d", len(n.alerts))
 	}
 }
 
@@ -141,94 +109,5 @@ func TestAbsentRule(t *testing.T) {
 	}
 	if len(sent) != 1 || sent[0].Labels.Get("xname") != "x9" {
 		t.Fatalf("%+v", sent)
-	}
-}
-
-func TestRunLoop(t *testing.T) {
-	rule := Rule{Name: "X", Expr: `up == 0`}
-	_, v, _, _ := setup(t, rule)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- v.Run(time.Millisecond, stop) }()
-	deadline := time.After(2 * time.Second)
-	for v.Evals() < 3 {
-		select {
-		case <-deadline:
-			t.Fatal("too slow")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecordingRules(t *testing.T) {
-	db, v, _, ck := setup(t)
-	if err := v.AddRecordingRules(db, RecordingRule{
-		Record: "cluster:node_temp:avg",
-		Expr:   `avg(node_temp_celsius)`,
-		Labels: map[string]string{"cluster": "perlmutter"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_ = db.AppendMetric("node_temp_celsius", labels.FromStrings("xname", "x1"), ck.Now().UnixMilli(), 40)
-	_ = db.AppendMetric("node_temp_celsius", labels.FromStrings("xname", "x2"), ck.Now().UnixMilli(), 60)
-	if _, err := v.EvalOnce(); err != nil {
-		t.Fatal(err)
-	}
-	eng := promql.NewEngine(db)
-	vec, err := eng.Query(`cluster:node_temp:avg`, ck.Now().UnixMilli())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != 1 || vec[0].V != 50 || vec[0].Labels.Get("cluster") != "perlmutter" {
-		t.Fatalf("%+v", vec)
-	}
-	// Subsequent rounds append more points.
-	ck.Advance(time.Minute)
-	_ = db.AppendMetric("node_temp_celsius", labels.FromStrings("xname", "x1"), ck.Now().UnixMilli(), 42)
-	if _, err := v.EvalOnce(); err != nil {
-		t.Fatal(err)
-	}
-	sel := []*labels.Matcher{labels.MustMatcher(labels.MatchEqual, tsdb.MetricNameLabel, "cluster:node_temp:avg")}
-	data := db.Select(sel, 0, ck.Now().UnixMilli())
-	if len(data) != 1 || len(data[0].Samples) != 2 {
-		t.Fatalf("%+v", data)
-	}
-}
-
-func TestRecordingRuleValidation(t *testing.T) {
-	db, v, _, _ := setup(t)
-	if err := v.AddRecordingRules(nil, RecordingRule{Record: "x", Expr: "up"}); err == nil {
-		t.Fatal("nil db accepted")
-	}
-	if err := v.AddRecordingRules(db, RecordingRule{Record: "", Expr: "up"}); err == nil {
-		t.Fatal("unnamed rule accepted")
-	}
-	if err := v.AddRecordingRules(db, RecordingRule{Record: "x", Expr: "(("}); err == nil {
-		t.Fatal("bad expr accepted")
-	}
-}
-
-// An alerting rule can consume a recording rule's output in the same
-// round (recordings run first).
-func TestAlertOnRecordedMetric(t *testing.T) {
-	db, v, n, ck := setup(t)
-	_ = v.AddRecordingRules(db, RecordingRule{Record: "cluster:max_temp", Expr: `max(node_temp_celsius)`})
-	v2, err := New(promql.NewEngine(db), n, ck.Now,
-		Rule{Name: "ClusterHot", Expr: `max(node_temp_celsius) > 80`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = db.AppendMetric("node_temp_celsius", labels.FromStrings("xname", "x1"), ck.Now().UnixMilli(), 95)
-	if _, err := v.EvalOnce(); err != nil {
-		t.Fatal(err)
-	}
-	sent, err := v2.EvalOnce()
-	if err != nil || len(sent) != 1 {
-		t.Fatalf("%v %v", sent, err)
 	}
 }

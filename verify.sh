@@ -49,6 +49,13 @@ go test -race -run 'TestFrontendGolden|TestFrontendConcurrentRefreshSoak' -count
 go test -race -count=3 -shuffle=on ./internal/anomaly/
 go test -race -run 'TestEarlyWarn' -count=1 ./internal/experiments/
 
+# Rule-evaluator soak: the one alert state machine under both bindings,
+# repeated and shuffled under the race detector on one and two cores. The
+# suite is driven by an injected clock and has no sleeps, so scheduling
+# must not change a verdict.
+GOMAXPROCS=1 go test -race -count=3 -shuffle=on ./internal/ruler/ ./internal/vmalert/
+GOMAXPROCS=2 go test -race -count=3 -shuffle=on ./internal/ruler/ ./internal/vmalert/
+
 # Dashboard drift check: the checked-in Grafana export must match what
 # the generator produces today, so panel changes can't land without
 # regenerating singlepane-dashboard.json.
@@ -67,7 +74,3 @@ go test -run 'TestMetricsDocumented' -count=1 ./internal/core/
 # change breaks the harness without anyone noticing (~8 s).
 go -C bench vet ./...
 go -C bench test ./...
-
-# Smoke-run the tracked benchmark families (C1/C2/C5/E4/E7) and refresh
-# BENCH_ingest.json; full numbers come from `./bench.sh` without args.
-./bench.sh short
