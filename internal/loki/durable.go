@@ -1,9 +1,8 @@
-// Durability for the log store: every accepted push is appended to a
-// per-shard WAL before the batch returns, sealed chunks spill to immutable
-// disk files, and a checkpoint snapshots stream state so replay stays
-// bounded by the checkpoint interval. EnableDurability also runs recovery:
-// checkpoint restore plus WAL replay, tolerant of torn tails and corrupt
-// spill files.
+// Durability for the log store. The crash-safety protocol — recovery
+// order, checkpoint, CLEAN marker, degradation — lives once in
+// internal/wal; this file is what only the log store knows: the entry
+// codec, its checkpoint rows (snapshot and restore), and sealed-chunk
+// spill, the one thing the metrics half has no counterpart for.
 //
 // Data layout under the store's directory:
 //
@@ -14,13 +13,11 @@
 package loki
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -32,43 +29,24 @@ import (
 	"shastamon/internal/wal"
 )
 
-const (
-	checkpointFile = "checkpoint.json"
-	cleanMarker    = "CLEAN"
-	chunksDirName  = "chunks"
-	walDirName     = "wal"
-)
+const chunksDirName = "chunks"
 
 // durability is the per-store durable state hung off Store.dur (nil for a
-// memory-only store).
+// memory-only store, and during recovery so replayed pushes are not
+// re-logged): the shared directory state machine plus the spill side.
 type durability struct {
-	dir string
-	d   *wal.Durable
-	opt wal.StoreOptions
-
-	// armed is false during recovery so replayed pushes are not re-logged.
-	armed    atomic.Bool
+	*wal.Durable
+	chunks   string // spill directory
+	opt      wal.StoreOptions
 	chunkSeq atomic.Int64
 }
 
 // RecoveryInfo summarises what EnableDurability reconstructed.
-type RecoveryInfo struct {
-	// Clean is true when the previous shutdown left a CLEAN marker and
-	// recovery was a checkpoint load with no WAL replay.
-	Clean bool
-	// Checkpoint is true when a checkpoint file was restored.
-	Checkpoint bool
-	// Streams is the stream count after recovery.
-	Streams int
-	// Replayed is the number of WAL records re-applied.
-	Replayed int
-	// Corrupt counts WAL records and spill files dropped as corrupt.
-	Corrupt int
-}
+type RecoveryInfo = wal.RecoveryInfo
 
-// checkpoint JSON shapes. Head entries are carried as the binary WAL
-// entry codec (base64 via encoding/json) — exact bytes, immune to the
-// JSON string escaping that would mangle non-UTF-8 log lines.
+// ckptStream is one checkpoint row. Head entries are carried as the
+// binary WAL entry codec (base64 via encoding/json) — exact bytes, immune
+// to the JSON string escaping that would mangle non-UTF-8 log lines.
 type ckptStream struct {
 	Labels [][2]string `json:"labels"`
 	Tenant string      `json:"tenant,omitempty"` // empty = default tenant
@@ -78,9 +56,8 @@ type ckptStream struct {
 }
 
 type ckptFile struct {
-	Version int            `json:"version"`
-	Cuts    map[string]int `json:"cuts"` // shard dir -> first WAL segment not covered
-	Streams []ckptStream   `json:"streams"`
+	wal.CheckpointHeader
+	Streams []ckptStream `json:"streams"`
 }
 
 // EnableDurability attaches a WAL + checkpoint + spill directory to the
@@ -90,63 +67,52 @@ func (s *Store) EnableDurability(dir string, opt wal.StoreOptions) (RecoveryInfo
 	if s.dur != nil {
 		return RecoveryInfo{}, fmt.Errorf("loki: durability already enabled")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, chunksDirName), 0o755); err != nil {
+	chunks := filepath.Join(dir, chunksDirName)
+	if err := os.MkdirAll(chunks, 0o755); err != nil {
 		return RecoveryInfo{}, err
 	}
-	dur := &durability{dir: dir, opt: opt}
+	var ck ckptFile
+	d, info, err := wal.OpenDurable(dir, wal.Store{
+		Name:       "wal:logs",
+		Shards:     len(s.shards),
+		Checkpoint: &ck,
+		Restore:    func() (int, error) { return s.restoreStreams(chunks, ck.Streams) },
+		Replay:     s.replayRecord,
+	}, opt)
+	if err != nil {
+		return info, err
+	}
+	dur := &durability{Durable: d, chunks: chunks, opt: opt}
+	dur.chunkSeq.Store(maxChunkSeq(chunks))
 	s.dur = dur
-
-	info, corrupt, err := s.recover(dir)
-	if err != nil {
-		s.dur = nil
-		return info, err
-	}
-	d, err := wal.NewDurable(filepath.Join(dir, walDirName), "wal:logs", len(s.shards), opt)
-	if err != nil {
-		s.dur = nil
-		return info, err
-	}
-	dur.d = d
-	d.AddCorrupt(int64(corrupt))
-	d.AddReplayed(int64(info.Replayed))
-	dur.chunkSeq.Store(maxChunkSeq(filepath.Join(dir, chunksDirName)))
-	dur.armed.Store(true)
-	info.Streams = int(s.streamCount.Load())
-	info.Corrupt = corrupt
 	return info, nil
 }
 
 // WALStats snapshots the durability counters; zero for a memory-only
 // store.
 func (s *Store) WALStats() wal.DurableStats {
-	if s.dur == nil || s.dur.d == nil {
+	if s.dur == nil {
 		return wal.DurableStats{}
 	}
-	return s.dur.d.Stats()
+	return s.dur.Stats()
 }
 
 // WALBreaker exposes the degradation breaker (nil when memory-only) for
 // the united breaker-state gauge and clock injection.
 func (s *Store) WALBreaker() *resilience.Breaker {
-	if s.dur == nil || s.dur.d == nil {
+	if s.dur == nil {
 		return nil
 	}
-	return s.dur.d.Breaker()
+	return s.dur.Breaker()
 }
 
 // --- record codec -----------------------------------------------------
 
-// walPrefixFor caches the encoded [type][labels] prefix on the stream;
-// called under st.mu. Non-default tenants ride in the record's label set
-// as the reserved __tenant__ label, so old WALs (no such label) replay
-// into the default namespace unchanged.
+// walPrefixFor caches the encoded record header on the stream; called
+// under st.mu.
 func (st *stream) walPrefixFor() []byte {
 	if st.walPrefix == nil {
-		ls := st.labels
-		if st.tenant != "" && st.tenant != tenant.DefaultID {
-			ls = ls.With(tenant.ReservedLabel, st.tenant)
-		}
-		st.walPrefix = wal.AppendLabels([]byte{wal.RecLogStream}, ls)
+		st.walPrefix = wal.AppendHeader(nil, wal.RecLogStream, st.tenant, st.labels)
 	}
 	return st.walPrefix
 }
@@ -169,7 +135,9 @@ func appendEntries(buf []byte, entries []Entry) []byte {
 
 func readEntries(buf []byte) ([]Entry, []byte, error) {
 	count, buf, err := wal.ReadUvarint(buf)
-	if err != nil || count > 1<<24 {
+	// The count is outside input (a checkpoint row carries no checksum):
+	// an entry costs at least two bytes, so the bytes left bound it.
+	if err != nil || count > uint64(len(buf))/2 {
 		return nil, nil, fmt.Errorf("loki: wal record entry count: %w", wal.ErrCorrupt)
 	}
 	out := make([]Entry, 0, count)
@@ -194,24 +162,20 @@ func readEntries(buf []byte) ([]Entry, []byte, error) {
 	return out, buf, nil
 }
 
-func decodeLogRecord(payload []byte) (string, PushStream, error) {
-	if len(payload) == 0 || payload[0] != wal.RecLogStream {
-		return "", PushStream{}, fmt.Errorf("loki: wal record type: %w", wal.ErrCorrupt)
-	}
-	ls, rest, err := wal.ReadLabels(payload[1:])
+// replayRecord applies one WAL record through the normal push path.
+func (s *Store) replayRecord(payload []byte) error {
+	tid, ls, rest, err := wal.ReadHeader(payload, wal.RecLogStream)
 	if err != nil {
-		return "", PushStream{}, err
+		return err
 	}
 	entries, _, err := readEntries(rest)
 	if err != nil {
-		return "", PushStream{}, err
+		return err
 	}
-	tid := tenant.DefaultID
-	if v := ls.Get(tenant.ReservedLabel); v != "" {
-		tid = v
-		ls = ls.Without(tenant.ReservedLabel)
-	}
-	return tid, PushStream{Labels: ls, Entries: entries}, nil
+	// Validation rediscovers the same discards as the original push (OOO
+	// vs checkpointed lastTS, limits); never fatal for replay.
+	_ = s.pushStreamTenant(s.tenantStateFor(tid), PushStream{Labels: ls, Entries: entries})
+	return nil
 }
 
 // --- spill ------------------------------------------------------------
@@ -252,7 +216,7 @@ func (s *Store) spillChunk(c *chunkenc.Chunk) error {
 			return err
 		}
 	}
-	path := filepath.Join(dur.dir, chunksDirName, fmt.Sprintf("c%08d.chk", dur.chunkSeq.Add(1)))
+	path := filepath.Join(dur.chunks, fmt.Sprintf("c%08d.chk", dur.chunkSeq.Add(1)))
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -276,7 +240,7 @@ func (s *Store) spillChunk(c *chunkenc.Chunk) error {
 		os.Remove(path)
 		return err
 	}
-	dur.d.AddSpilled(1)
+	dur.AddSpilled(1)
 	return nil
 }
 
@@ -286,84 +250,62 @@ func (s *Store) spillChunk(c *chunkenc.Chunk) error {
 // st.mu.
 func (s *Store) maybeSpillSealed(c *chunkenc.Chunk) {
 	dur := s.dur
-	if dur == nil || dur.d == nil || !dur.armed.Load() || dur.d.Degraded() {
+	if dur == nil || !dur.Armed() || dur.Degraded() {
 		return
 	}
 	if err := s.spillChunk(c); err != nil {
-		dur.d.ReportError()
+		dur.ReportError()
 	}
 }
 
 // --- checkpoint -------------------------------------------------------
 
-// Checkpoint atomically snapshots the store: per shard it blocks stream
-// lookup (shard write-lock) and drains in-flight pushes (every stream
-// mutex — WAL appends happen under them), rotates the shard's WAL so the
-// snapshot covers exactly the old segments, then snapshots every stream.
-// The checkpoint file is written via tmp+rename; only then are covered
-// WAL segments and orphaned spill files deleted. Any failure leaves the
-// previous checkpoint and all WAL segments in place — recovery is never
-// worse than before the attempt.
+// Checkpoint snapshots the store through the shared protocol (see
+// wal.Durable.Checkpoint): per shard it blocks stream lookup (shard
+// write-lock) and drains in-flight pushes (every stream mutex — WAL appends
+// happen under them), rotates the shard's WAL under those locks, then
+// snapshots every stream, spilling resident sealed chunks. Once the
+// checkpoint is durable, spill files nothing references are deleted.
 func (s *Store) Checkpoint() error {
 	dur := s.dur
-	if dur == nil || dur.d == nil || !dur.armed.Load() {
+	if dur == nil {
 		return nil
 	}
-	if hook := dur.opt.FaultHook; hook != nil {
-		if err := hook("checkpoint"); err != nil {
-			dur.d.ReportError()
-			return err
-		}
-	}
-	ck := ckptFile{Version: 1, Cuts: map[string]int{}}
+	var ck ckptFile
 	refs := map[string]bool{}
 	// Sequence high-water mark before any shard is snapshotted: once a
 	// shard's locks are released, concurrent pushes can seal + spill new
 	// chunks the refs set never saw. Those carry a higher sequence, so the
 	// GC below only touches files at or below this mark.
 	seqMark := dur.chunkSeq.Load()
-	for i, sh := range s.shards {
+	wrote, err := dur.Checkpoint(&ck, func(i int, rotate func() error) error {
+		sh := s.shards[i]
 		sh.mu.Lock()
 		for _, st := range sh.ordered {
 			st.mu.Lock()
 		}
-		cut, err := dur.d.Log(i).Rotate()
-		if err == nil {
-			ck.Cuts[wal.ShardDirName(i)] = cut
+		defer func() {
 			for _, st := range sh.ordered {
-				var cs ckptStream
-				if cs, err = s.snapshotStream(st, refs); err != nil {
-					break
-				}
-				ck.Streams = append(ck.Streams, cs)
+				st.mu.Unlock()
 			}
-		}
-		for _, st := range sh.ordered {
-			st.mu.Unlock()
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			// Already-rotated shards are harmless: their extra segments
-			// stay on disk and replay alongside everything else.
-			dur.d.ReportError()
+			sh.mu.Unlock()
+		}()
+		if err := rotate(); err != nil {
 			return err
 		}
+		for _, st := range sh.ordered {
+			cs, err := s.snapshotStream(st, refs)
+			if err != nil {
+				return err
+			}
+			ck.Streams = append(ck.Streams, cs)
+		}
+		return nil
+	})
+	if wrote {
+		gcSpills(dur.chunks, refs, seqMark)
 	}
-
-	if err := writeFileAtomic(filepath.Join(dur.dir, checkpointFile), &ck, dur.opt.WrapWriter); err != nil {
-		dur.d.ReportError()
-		return err
-	}
-	dur.d.AddCheckpoints(1)
-	dur.d.ReportSuccess()
-
-	// Truncation: everything below the cut is covered by the snapshot.
-	for i := range s.shards {
-		_ = dur.d.Log(i).DropBefore(ck.Cuts[wal.ShardDirName(i)])
-	}
-	_ = dur.d.RemoveDormantShards()
-	gcSpills(filepath.Join(dur.dir, chunksDirName), refs, seqMark)
-	return nil
+	return err
 }
 
 // snapshotStream captures one stream under its (held) mutex, spilling any
@@ -400,30 +342,6 @@ func (s *Store) snapshotStream(st *stream, refs map[string]bool) (ckptStream, er
 	return cs, nil
 }
 
-func writeFileAtomic(path string, v any, wrap func(io.Writer) io.Writer) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	var w io.Writer = f
-	if wrap != nil {
-		w = wrap(f)
-	}
-	err = json.NewEncoder(w).Encode(v)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // gcSpills removes spill files no checkpoint references: chunks deleted
 // by retention plus spills orphaned by a crash between spill and
 // checkpoint. Files with a sequence above maxSeq are left alone — they
@@ -445,161 +363,54 @@ func gcSpills(dir string, refs map[string]bool, maxSeq int64) {
 	}
 }
 
-// --- recovery ---------------------------------------------------------
+// --- restore ----------------------------------------------------------
 
-// recover rebuilds the store from dir: checkpoint restore, then WAL
-// replay of every shard directory present (handles shard-count changes
-// across restarts), with corrupt records counted and repaired. A CLEAN
-// marker (written by Shutdown after a final checkpoint) skips the WAL
-// scan entirely.
-func (s *Store) recover(dir string) (RecoveryInfo, int, error) {
-	var info RecoveryInfo
-	corrupt := 0
-	walRoot := filepath.Join(dir, walDirName)
-
-	clean := false
-	if _, err := os.Stat(filepath.Join(dir, cleanMarker)); err == nil {
-		clean = true
-	}
-
-	ck, ok, err := readCheckpoint(filepath.Join(dir, checkpointFile))
-	if err != nil {
-		// A corrupt checkpoint (torn rename never happens, but a chaos
-		// writer can produce one) falls back to WAL-only recovery.
-		corrupt++
-		ok, clean = false, false
-	}
-	if ok {
-		info.Checkpoint = true
-		n, err := s.restoreCheckpoint(ck)
-		corrupt += n
-		if err != nil {
-			return info, corrupt, err
-		}
-		// Segments below each cut are covered by the snapshot.
-		for shardDir, cut := range ck.Cuts {
-			_ = wal.DropSegmentsBefore(filepath.Join(walRoot, shardDir), cut)
-		}
-	}
-
-	if clean {
-		// Shutdown guaranteed the checkpoint covers every append: no
-		// replay needed. The fresh log will restart numbering at segment
-		// 1, so stale cuts would prune those segments as "covered" on the
-		// next dirty recovery. Clear them BEFORE deleting the WAL and
-		// marker: a crash after the rewrite re-enters this path (marker
-		// still present, cuts already empty), while the old order could
-		// crash into stale cuts with no marker — the exact data-loss case
-		// the rewrite exists to prevent.
-		info.Clean = true
-		if ok && len(ck.Cuts) > 0 {
-			ck.Cuts = map[string]int{}
-			if werr := writeFileAtomic(filepath.Join(dir, checkpointFile), &ck, s.dur.opt.WrapWriter); werr != nil {
-				return info, corrupt, werr
-			}
-		}
-		// Consume the marker so a later crash replays.
-		_ = os.RemoveAll(walRoot)
-		_ = os.Remove(filepath.Join(dir, cleanMarker))
-		return info, corrupt, nil
-	}
-	_ = os.Remove(filepath.Join(dir, cleanMarker))
-
-	shardDirs, err := os.ReadDir(walRoot)
-	if err != nil && !os.IsNotExist(err) {
-		return info, corrupt, err
-	}
-	var names []string
-	for _, e := range shardDirs {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st, err := wal.Replay(filepath.Join(walRoot, name), true, func(payload []byte) error {
-			tid, ps, err := decodeLogRecord(payload)
-			if err != nil {
-				corrupt++
-				return nil // skip the record, keep replaying
-			}
-			if err := s.pushStreamTenant(s.tenantStateFor(tid), ps); err != nil {
-				// Validation rediscovers the same discards as the
-				// original push (OOO vs checkpointed lastTS, limits);
-				// never fatal for replay.
-				_ = err
-			}
-			info.Replayed++
-			return nil
-		})
-		if err != nil {
-			return info, corrupt, err
-		}
-		corrupt += st.Corrupt
-	}
-	return info, corrupt, nil
-}
-
-func readCheckpoint(path string) (ckptFile, bool, error) {
-	var ck ckptFile
-	buf, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return ck, false, nil
-	}
-	if err != nil {
-		return ck, false, err
-	}
-	if err := json.Unmarshal(buf, &ck); err != nil {
-		return ck, false, fmt.Errorf("loki: corrupt checkpoint: %w", err)
-	}
-	return ck, true, nil
-}
-
-// restoreCheckpoint rebuilds streams from a checkpoint; corrupt spill
-// files are skipped (counted), everything else is restored exactly.
-// Counters are derived from the restored state, not persisted — the push
+// restoreStreams rebuilds streams from checkpoint rows; corrupt spill
+// files and head blobs are skipped (counted), everything else is restored
+// exactly. Counters — store-wide and per-tenant, as the push path credits
+// both — are derived from the restored state, not persisted: the push
 // path's atomics race the snapshot, derived values cannot.
-func (s *Store) restoreCheckpoint(ck ckptFile) (corrupt int, err error) {
-	for _, cs := range ck.Streams {
+func (s *Store) restoreStreams(chunks string, rows []ckptStream) (corrupt int, err error) {
+	for _, cs := range rows {
 		ls := make(labels.Labels, 0, len(cs.Labels))
 		for _, pair := range cs.Labels {
 			ls = append(ls, labels.Label{Name: pair[0], Value: pair[1]})
 		}
-		tid := cs.Tenant
-		if tid == "" {
-			tid = tenant.DefaultID
-		}
-		st, _, err := s.getOrCreateStream(s.tenantStateFor(tid), labels.New(ls...))
+		ts := s.tenantStateFor(cs.Tenant)
+		st, sh, err := s.getOrCreateStream(ts, labels.New(ls...))
 		if err != nil {
 			return corrupt, fmt.Errorf("loki: checkpoint restore: %w", err)
 		}
-		sh := s.shardFor(st.fp)
+		var entries, bytes int64
 		st.mu.Lock()
 		for _, base := range cs.Chunks {
-			c, err := chunkenc.OpenSpill(filepath.Join(s.dur.dir, chunksDirName, base))
+			c, err := chunkenc.OpenSpill(filepath.Join(chunks, base))
 			if err != nil {
 				corrupt++
 				continue
 			}
 			st.chunks = append(st.chunks, c)
-			sh.entries.Add(int64(c.Entries()))
-			sh.rawBytes.Add(int64(c.RawBytes()))
+			entries += int64(c.Entries())
+			bytes += int64(c.RawBytes())
 		}
 		if len(cs.Head) > 0 {
-			entries, _, err := readEntries(cs.Head)
+			head, _, err := readEntries(cs.Head)
 			if err != nil {
 				corrupt++
-			} else {
-				for _, e := range entries {
-					if _, aerr := st.append(e, s.limits.ChunkOptions); aerr == nil {
-						sh.entries.Add(1)
-						sh.rawBytes.Add(int64(len(e.Line)))
-					}
+			}
+			for _, e := range head {
+				if _, aerr := st.append(e, s.limits.ChunkOptions); aerr == nil {
+					entries++
+					bytes += int64(len(e.Line))
 				}
 			}
 		}
 		st.lastTS = cs.LastTS
 		st.mu.Unlock()
+		sh.entries.Add(entries)
+		sh.rawBytes.Add(bytes)
+		ts.entries.Add(entries)
+		ts.bytes.Add(bytes)
 	}
 	return corrupt, nil
 }
@@ -610,28 +421,8 @@ func (s *Store) restoreCheckpoint(ck ckptFile) (corrupt int, err error) {
 // final snapshot — leaves a CLEAN marker so the next start skips replay.
 // The store remains usable afterwards, but in memory-only mode.
 func (s *Store) Shutdown() error {
-	dur := s.dur
-	if dur == nil || dur.d == nil || !dur.armed.Load() {
+	if s.dur == nil {
 		return nil
 	}
-	// CLEAN asserts the final checkpoint covers every append, so the
-	// baseline is taken before the checkpoint starts: an append racing
-	// onto a post-rotation segment after its shard unlocks lands between
-	// baseline and after, suppressing the marker. (A checkpoint-covered
-	// append also suppresses it — a false negative, which merely costs a
-	// replay; a false positive would lose the record.) Shutdown is
-	// expected to run with ingest quiesced; the counters are the guard.
-	base := dur.d.Stats()
-	err := s.Checkpoint()
-	dur.armed.Store(false)
-	if cerr := dur.d.Close(); err == nil {
-		err = cerr
-	}
-	after := dur.d.Stats()
-	if err == nil && after.Appends == base.Appends && after.Errors == base.Errors && after.Skipped == base.Skipped {
-		if f, ferr := os.Create(filepath.Join(dur.dir, cleanMarker)); ferr == nil {
-			f.Close()
-		}
-	}
-	return err
+	return s.dur.Shutdown(s.Checkpoint)
 }

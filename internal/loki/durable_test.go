@@ -155,7 +155,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 	if err := s1.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, cleanMarker)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, wal.CleanMarker)); err != nil {
 		t.Fatalf("CLEAN marker missing: %v", err)
 	}
 
@@ -168,7 +168,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 	}
 	assertStoresMatch(t, s2, ref)
 	// The marker is consumed: a crash after this start must replay.
-	if _, err := os.Stat(filepath.Join(dir, cleanMarker)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, wal.CleanMarker)); !os.IsNotExist(err) {
 		t.Fatal("CLEAN marker survived recovery")
 	}
 }
@@ -221,7 +221,7 @@ func TestDurableTornTail(t *testing.T) {
 	// Tear the tail of every shard's last segment.
 	torn := 0
 	for i := 0; i < 2; i++ {
-		segs, err := filepath.Glob(filepath.Join(dir, walDirName, wal.ShardDirName(i), "*.wal"))
+		segs, err := filepath.Glob(filepath.Join(dir, wal.LogDirName, wal.ShardDirName(i), "*.wal"))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("no segments for shard %d: %v", i, err)
 		}

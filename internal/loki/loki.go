@@ -371,7 +371,7 @@ func (s *Store) pushStreamTenant(ts *tenantState, ps PushStream) error {
 	// returns. The append happens under st.mu, which is the checkpoint's
 	// drain lock — a snapshot can never land between an in-memory append
 	// and its WAL record.
-	durable := s.dur != nil && s.dur.armed.Load()
+	durable := s.dur != nil && s.dur.Armed()
 	var walEntries []Entry
 	st.mu.Lock()
 	for _, e := range ps.Entries {
@@ -407,7 +407,7 @@ func (s *Store) pushStreamTenant(ts *tenantState, ps PushStream) error {
 		}
 	}
 	if durable && len(walEntries) > 0 {
-		s.dur.d.Append(s.shardIndex(st.fp), appendEntries(st.walPrefixFor(), walEntries))
+		s.dur.Append(s.shardIndex(st.fp), appendEntries(st.walPrefixFor(), walEntries))
 	}
 	st.mu.Unlock()
 	sh.entries.Add(accepted)

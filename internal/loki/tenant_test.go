@@ -267,6 +267,73 @@ func TestDurableTenantRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableTenantRoundTripCounters: the per-tenant counters must not
+// depend on how a store recovered. WAL replay credits them through the
+// push path; checkpoint restore has to credit them too, or a restart
+// leaves shastamon_loki_tenant_entries_total at 0 (clean) or at the WAL
+// tail (crash) beside a store total of N.
+func TestDurableTenantRoundTripCounters(t *testing.T) {
+	always := wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}
+	for _, tc := range []struct {
+		name string
+		end  func(t *testing.T, s *Store) // how the first life ends
+	}{
+		{"wal-only", func(*testing.T, *Store) {}},
+		{"checkpoint+tail", func(t *testing.T, s *Store) {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			pushAs(t, s, "hpc-a", labels.FromStrings("app", "fm"), Entry{9e9, "a tail"})
+			pushAs(t, s, tenant.DefaultID, labels.FromStrings("app", "fm"), Entry{9e9, "default tail"})
+		}},
+		{"clean", func(t *testing.T, s *Store) {
+			if err := s.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := NewStore(durableLimits())
+			if _, err := s1.EnableDurability(dir, always); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 40; i++ { // enough to seal and spill chunks
+				for _, id := range []string{"hpc-a", "hpc-b", tenant.DefaultID} {
+					pushAs(t, s1, id, labels.FromStrings("app", "fm"),
+						Entry{int64(i+1) * 1e6, fmt.Sprintf("%s line %03d %s", id, i, "x123456789abcdef0123456789abcdef")})
+				}
+			}
+			tc.end(t, s1)
+			want := s1.TenantStats()
+
+			s2 := NewStore(durableLimits())
+			info, err := s2.EnableDurability(dir, wal.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Clean != (tc.name == "clean") || info.Checkpoint == (tc.name == "wal-only") {
+				t.Fatalf("recovery took the wrong path: %+v", info)
+			}
+			got := s2.TenantStats()
+			if len(got) != len(want) {
+				t.Fatalf("tenants after recovery = %+v, want %+v", got, want)
+			}
+			var entries, bytes int64
+			for i, ts := range got {
+				if ts != want[i] {
+					t.Errorf("tenant %s after recovery = %+v, want %+v", ts.Tenant, ts, want[i])
+				}
+				entries += ts.Entries
+				bytes += ts.RawBytes
+			}
+			if st := s2.Stats(); entries != st.Entries || bytes != st.RawBytes {
+				t.Errorf("per-tenant sums %d entries / %d bytes, store totals %d / %d", entries, bytes, st.Entries, st.RawBytes)
+			}
+		})
+	}
+}
+
 // TestTenantConcurrentPushRace hammers the same label sets from two
 // tenants concurrently; -race plus the cross-checks catch striping or
 // accounting contamination.

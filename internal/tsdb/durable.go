@@ -1,6 +1,7 @@
-// Durability for the TSDB head: the metrics half of the warehouse gets
-// the same WAL + checkpoint treatment as the log store, minus chunk spill
-// (series are flat sample slices, snapshotted whole into the checkpoint).
+// Durability for the TSDB head, the metrics half of the warehouse. The
+// crash-safety protocol lives once in internal/wal; this file is what only
+// the head knows: the sample codec and its checkpoint rows (series are
+// flat sample slices, snapshotted whole — there is no chunk spill).
 //
 // Data layout under the DB's directory:
 //
@@ -11,15 +12,8 @@ package tsdb
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync/atomic"
 
 	"shastamon/internal/labels"
 	"shastamon/internal/resilience"
@@ -27,28 +21,10 @@ import (
 	"shastamon/internal/wal"
 )
 
-const (
-	checkpointFile = "checkpoint.json"
-	cleanMarker    = "CLEAN"
-	walDirName     = "wal"
-)
-
-type durability struct {
-	dir   string
-	d     *wal.Durable
-	opt   wal.StoreOptions
-	armed atomic.Bool
-}
-
 // RecoveryInfo summarises what EnableDurability reconstructed.
-type RecoveryInfo struct {
-	Clean      bool
-	Checkpoint bool
-	Series     int
-	Replayed   int
-	Corrupt    int
-}
+type RecoveryInfo = wal.RecoveryInfo
 
+// ckptSeries is one checkpoint row.
 type ckptSeries struct {
 	Labels  [][2]string `json:"labels"`
 	Tenant  string      `json:"tenant,omitempty"` // empty = default tenant
@@ -56,9 +32,8 @@ type ckptSeries struct {
 }
 
 type ckptFile struct {
-	Version int            `json:"version"`
-	Cuts    map[string]int `json:"cuts"`
-	Series  []ckptSeries   `json:"series"`
+	wal.CheckpointHeader
+	Series []ckptSeries `json:"series"`
 }
 
 // EnableDurability attaches a WAL + checkpoint to the DB and recovers
@@ -68,58 +43,43 @@ func (db *DB) EnableDurability(dir string, opt wal.StoreOptions) (RecoveryInfo, 
 	if db.dur != nil {
 		return RecoveryInfo{}, fmt.Errorf("tsdb: durability already enabled")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return RecoveryInfo{}, err
-	}
-	dur := &durability{dir: dir, opt: opt}
-	db.dur = dur
-	info, corrupt, err := db.recover(dir)
+	var ck ckptFile
+	d, info, err := wal.OpenDurable(dir, wal.Store{
+		Name:       "wal:metrics",
+		Shards:     len(db.shards),
+		Checkpoint: &ck,
+		Restore:    func() (int, error) { return db.restoreSeries(ck.Series) },
+		Replay:     db.replayRecord,
+	}, opt)
 	if err != nil {
-		db.dur = nil
 		return info, err
 	}
-	d, err := wal.NewDurable(filepath.Join(dir, walDirName), "wal:metrics", len(db.shards), opt)
-	if err != nil {
-		db.dur = nil
-		return info, err
-	}
-	dur.d = d
-	d.AddCorrupt(int64(corrupt))
-	d.AddReplayed(int64(info.Replayed))
-	dur.armed.Store(true)
-	info.Series = int(db.seriesCount.Load())
-	info.Corrupt = corrupt
+	db.dur = d
 	return info, nil
 }
 
 // WALStats snapshots the durability counters; zero when memory-only.
 func (db *DB) WALStats() wal.DurableStats {
-	if db.dur == nil || db.dur.d == nil {
+	if db.dur == nil {
 		return wal.DurableStats{}
 	}
-	return db.dur.d.Stats()
+	return db.dur.Stats()
 }
 
 // WALBreaker exposes the degradation breaker (nil when memory-only).
 func (db *DB) WALBreaker() *resilience.Breaker {
-	if db.dur == nil || db.dur.d == nil {
+	if db.dur == nil {
 		return nil
 	}
-	return db.dur.d.Breaker()
+	return db.dur.Breaker()
 }
 
 // --- record codec -----------------------------------------------------
 
-// walPrefixFor caches the [type][labels] prefix; called under s.mu.
-// Non-default tenants ride in the record's labels as __tenant__, so old
-// WALs replay into the default namespace unchanged.
+// walPrefixFor caches the encoded record header; called under s.mu.
 func (s *series) walPrefixFor() []byte {
 	if s.walPrefix == nil {
-		ls := s.labels
-		if s.tenant != "" && s.tenant != tenant.DefaultID {
-			ls = ls.With(tenant.ReservedLabel, s.tenant)
-		}
-		s.walPrefix = wal.AppendLabels([]byte{wal.RecSample}, ls)
+		s.walPrefix = wal.AppendHeader(nil, wal.RecSample, s.tenant, s.labels)
 	}
 	return s.walPrefix
 }
@@ -131,25 +91,20 @@ func appendSample(buf []byte, t int64, v float64) []byte {
 	return append(buf, bits[:]...)
 }
 
-func decodeSampleRecord(payload []byte) (string, labels.Labels, int64, float64, error) {
-	if len(payload) == 0 || payload[0] != wal.RecSample {
-		return "", nil, 0, 0, fmt.Errorf("tsdb: wal record type: %w", wal.ErrCorrupt)
-	}
-	ls, rest, err := wal.ReadLabels(payload[1:])
+// replayRecord applies one WAL record through the normal append path.
+func (db *DB) replayRecord(payload []byte) error {
+	tid, ls, rest, err := wal.ReadHeader(payload, wal.RecSample)
 	if err != nil {
-		return "", nil, 0, 0, err
+		return err
 	}
 	t, rest, err := wal.ReadVarint(rest)
 	if err != nil || len(rest) < 8 {
-		return "", nil, 0, 0, fmt.Errorf("tsdb: wal record sample: %w", wal.ErrCorrupt)
+		return fmt.Errorf("tsdb: wal record sample: %w", wal.ErrCorrupt)
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(rest[:8]))
-	tid := tenant.DefaultID
-	if tv := ls.Get(tenant.ReservedLabel); tv != "" {
-		tid = tv
-		ls = ls.Without(tenant.ReservedLabel)
-	}
-	return tid, ls, t, v, nil
+	// OOO vs the checkpointed head re-discovers the original drops;
+	// duplicate timestamps overwrite idempotently.
+	_ = db.AppendTenant(tid, ls, t, math.Float64frombits(binary.LittleEndian.Uint64(rest[:8])))
+	return nil
 }
 
 func encodeSamples(data []Sample) []byte {
@@ -171,7 +126,9 @@ func encodeSamples(data []Sample) []byte {
 
 func decodeSamples(buf []byte) ([]Sample, error) {
 	count, buf, err := wal.ReadUvarint(buf)
-	if err != nil || count > 1<<28 {
+	// The count is outside input (a checkpoint row carries no checksum):
+	// a sample costs at least nine bytes, so the bytes left bound it.
+	if err != nil || count > uint64(len(buf))/9 {
 		return nil, fmt.Errorf("tsdb: checkpoint sample count: %w", wal.ErrCorrupt)
 	}
 	out := make([]Sample, 0, count)
@@ -194,191 +151,72 @@ func decodeSamples(buf []byte) ([]Sample, error) {
 
 // --- checkpoint -------------------------------------------------------
 
-// Checkpoint snapshots the head with the same freeze protocol as the log
-// store: per shard, block series lookup, drain per-series mutexes, rotate
-// the shard WAL, snapshot, release — then tmp+rename the checkpoint file
-// and truncate covered segments.
+// Checkpoint snapshots the head through the shared protocol (see
+// wal.Durable.Checkpoint): per shard, block series lookup, drain the
+// per-series mutexes (WAL appends happen under them), rotate the shard WAL
+// under those locks, snapshot every series, release.
 func (db *DB) Checkpoint() error {
-	dur := db.dur
-	if dur == nil || dur.d == nil || !dur.armed.Load() {
+	if db.dur == nil {
 		return nil
 	}
-	if hook := dur.opt.FaultHook; hook != nil {
-		if err := hook("checkpoint"); err != nil {
-			dur.d.ReportError()
-			return err
-		}
-	}
-	ck := ckptFile{Version: 1, Cuts: map[string]int{}}
-	for i, sh := range db.shards {
+	var ck ckptFile
+	_, err := db.dur.Checkpoint(&ck, func(i int, rotate func() error) error {
+		sh := db.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.ordered {
 			s.mu.Lock()
 		}
-		cut, err := dur.d.Log(i).Rotate()
-		if err == nil {
-			ck.Cuts[wal.ShardDirName(i)] = cut
+		defer func() {
 			for _, s := range sh.ordered {
-				cs := ckptSeries{Samples: encodeSamples(s.data)}
-				if s.tenant != "" && s.tenant != tenant.DefaultID {
-					cs.Tenant = s.tenant
-				}
-				for _, l := range s.labels {
-					cs.Labels = append(cs.Labels, [2]string{l.Name, l.Value})
-				}
-				ck.Series = append(ck.Series, cs)
+				s.mu.Unlock()
 			}
-		}
-		for _, s := range sh.ordered {
-			s.mu.Unlock()
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			dur.d.ReportError()
+			sh.mu.Unlock()
+		}()
+		if err := rotate(); err != nil {
 			return err
 		}
-	}
-	if err := writeFileAtomic(filepath.Join(dur.dir, checkpointFile), &ck, dur.opt.WrapWriter); err != nil {
-		dur.d.ReportError()
-		return err
-	}
-	dur.d.AddCheckpoints(1)
-	dur.d.ReportSuccess()
-	for i := range db.shards {
-		_ = dur.d.Log(i).DropBefore(ck.Cuts[wal.ShardDirName(i)])
-	}
-	_ = dur.d.RemoveDormantShards()
-	return nil
+		for _, s := range sh.ordered {
+			cs := ckptSeries{Samples: encodeSamples(s.data)}
+			if s.tenant != "" && s.tenant != tenant.DefaultID {
+				cs.Tenant = s.tenant
+			}
+			for _, l := range s.labels {
+				cs.Labels = append(cs.Labels, [2]string{l.Name, l.Value})
+			}
+			ck.Series = append(ck.Series, cs)
+		}
+		return nil
+	})
+	return err
 }
 
-func writeFileAtomic(path string, v any, wrap func(io.Writer) io.Writer) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	var w io.Writer = f
-	if wrap != nil {
-		w = wrap(f)
-	}
-	err = json.NewEncoder(w).Encode(v)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// --- recovery ---------------------------------------------------------
-
-func (db *DB) recover(dir string) (RecoveryInfo, int, error) {
-	var info RecoveryInfo
-	corrupt := 0
-	walRoot := filepath.Join(dir, walDirName)
-
-	clean := false
-	if _, err := os.Stat(filepath.Join(dir, cleanMarker)); err == nil {
-		clean = true
-	}
-
-	var ck ckptFile
-	ok := true
-	buf, err := os.ReadFile(filepath.Join(dir, checkpointFile))
-	if os.IsNotExist(err) {
-		ok = false
-	} else if err != nil {
-		return info, corrupt, err
-	} else if jerr := json.Unmarshal(buf, &ck); jerr != nil {
-		corrupt++
-		ok, clean = false, false
-	}
-	if ok {
-		info.Checkpoint = true
-		for _, cs := range ck.Series {
-			ls := make(labels.Labels, 0, len(cs.Labels))
-			for _, pair := range cs.Labels {
-				ls = append(ls, labels.Label{Name: pair[0], Value: pair[1]})
-			}
-			samples, err := decodeSamples(cs.Samples)
-			if err != nil {
-				corrupt++
-				continue
-			}
-			tid := cs.Tenant
-			if tid == "" {
-				tid = tenant.DefaultID
-			}
-			s, err := db.getOrCreate(db.tenantStateFor(tid), labels.New(ls...))
-			if err != nil {
-				return info, corrupt, fmt.Errorf("tsdb: checkpoint restore: %w", err)
-			}
-			s.mu.Lock()
-			s.data = samples
-			s.mu.Unlock()
-			db.appends.Add(int64(len(samples)))
-		}
-		for shardDir, cut := range ck.Cuts {
-			_ = wal.DropSegmentsBefore(filepath.Join(walRoot, shardDir), cut)
-		}
-	}
-
-	if clean {
-		// The fresh log restarts numbering at segment 1, so stale cuts
-		// would prune those segments as "covered" on the next dirty
-		// recovery. Clear them BEFORE deleting the WAL and marker: a
-		// crash after the rewrite re-enters this path (marker still
-		// present, cuts already empty), while the old order could crash
-		// into stale cuts with no marker — the exact data-loss case the
-		// rewrite exists to prevent.
-		info.Clean = true
-		if ok && len(ck.Cuts) > 0 {
-			ck.Cuts = map[string]int{}
-			if werr := writeFileAtomic(filepath.Join(dir, checkpointFile), &ck, db.dur.opt.WrapWriter); werr != nil {
-				return info, corrupt, werr
-			}
-		}
-		_ = os.RemoveAll(walRoot)
-		_ = os.Remove(filepath.Join(dir, cleanMarker))
-		return info, corrupt, nil
-	}
-	_ = os.Remove(filepath.Join(dir, cleanMarker))
-
-	shardDirs, err := os.ReadDir(walRoot)
-	if err != nil && !os.IsNotExist(err) {
-		return info, corrupt, err
-	}
-	var names []string
-	for _, e := range shardDirs {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st, err := wal.Replay(filepath.Join(walRoot, name), true, func(payload []byte) error {
-			tid, ls, t, v, err := decodeSampleRecord(payload)
-			if err != nil {
-				corrupt++
-				return nil
-			}
-			// OOO vs the checkpointed head re-discovers the original
-			// drops; duplicate timestamps overwrite idempotently.
-			_ = db.AppendTenant(tid, ls, t, v)
-			info.Replayed++
-			return nil
-		})
+// restoreSeries rebuilds the head from checkpoint rows; a row whose sample
+// blob does not decode is skipped (counted). Counters — head-wide and
+// per-tenant, as the append path credits both — are derived from the
+// restored state.
+func (db *DB) restoreSeries(rows []ckptSeries) (corrupt int, err error) {
+	for _, cs := range rows {
+		samples, err := decodeSamples(cs.Samples)
 		if err != nil {
-			return info, corrupt, err
+			corrupt++
+			continue
 		}
-		corrupt += st.Corrupt
+		ls := make(labels.Labels, 0, len(cs.Labels))
+		for _, pair := range cs.Labels {
+			ls = append(ls, labels.Label{Name: pair[0], Value: pair[1]})
+		}
+		ts := db.tenantStateFor(cs.Tenant)
+		s, err := db.getOrCreate(ts, labels.New(ls...))
+		if err != nil {
+			return corrupt, fmt.Errorf("tsdb: checkpoint restore: %w", err)
+		}
+		s.mu.Lock()
+		s.data = samples
+		s.mu.Unlock()
+		db.appends.Add(int64(len(samples)))
+		ts.samples.Add(int64(len(samples)))
 	}
-	return info, corrupt, nil
+	return corrupt, nil
 }
 
 // --- shutdown ---------------------------------------------------------
@@ -386,25 +224,8 @@ func (db *DB) recover(dir string) (RecoveryInfo, int, error) {
 // Shutdown checkpoints, closes the WAL and leaves a CLEAN marker when no
 // append raced the final snapshot. The DB stays usable in-memory.
 func (db *DB) Shutdown() error {
-	dur := db.dur
-	if dur == nil || dur.d == nil || !dur.armed.Load() {
+	if db.dur == nil {
 		return nil
 	}
-	// Baseline before the checkpoint starts: an append racing onto a
-	// post-rotation segment after its shard unlocks lands between base
-	// and after, suppressing the CLEAN marker (false negatives cost a
-	// replay; a false positive would lose the record).
-	base := dur.d.Stats()
-	err := db.Checkpoint()
-	dur.armed.Store(false)
-	if cerr := dur.d.Close(); err == nil {
-		err = cerr
-	}
-	after := dur.d.Stats()
-	if err == nil && after.Appends == base.Appends && after.Errors == base.Errors && after.Skipped == base.Skipped {
-		if f, ferr := os.Create(filepath.Join(dur.dir, cleanMarker)); ferr == nil {
-			f.Close()
-		}
-	}
-	return err
+	return db.dur.Shutdown(db.Checkpoint)
 }

@@ -108,7 +108,7 @@ func TestTSDBCleanShutdown(t *testing.T) {
 	if err := db1.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, cleanMarker)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, wal.CleanMarker)); err != nil {
 		t.Fatalf("CLEAN marker missing: %v", err)
 	}
 

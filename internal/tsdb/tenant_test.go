@@ -221,3 +221,72 @@ func TestTenantConcurrentAppendRaceTSDB(t *testing.T) {
 		}
 	}
 }
+
+// TestDurableTenantRoundTripTSDBCounters: per-tenant sample counters must
+// not depend on how the head recovered — checkpoint restore credits the
+// tenant exactly as WAL replay does.
+func TestDurableTenantRoundTripTSDBCounters(t *testing.T) {
+	always := wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}
+	ls := labels.FromStrings("__name__", "m")
+	for _, tc := range []struct {
+		name string
+		end  func(t *testing.T, db *DB) // how the first life ends
+	}{
+		{"wal-only", func(*testing.T, *DB) {}},
+		{"checkpoint+tail", func(t *testing.T, db *DB) {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []string{"hpc-a", tenant.DefaultID} {
+				if err := db.AppendTenant(id, ls, 9000, 9); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"clean", func(t *testing.T, db *DB) {
+			if err := db.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db1 := NewSharded(2)
+			if _, err := db1.EnableDurability(dir, always); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				for _, id := range []string{"hpc-a", "hpc-b", tenant.DefaultID} {
+					if err := db1.AppendTenant(id, ls, int64(i+1)*100, float64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			tc.end(t, db1)
+			want := db1.TenantStats()
+
+			db2 := NewSharded(2)
+			info, err := db2.EnableDurability(dir, wal.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Clean != (tc.name == "clean") || info.Checkpoint == (tc.name == "wal-only") {
+				t.Fatalf("recovery took the wrong path: %+v", info)
+			}
+			got := db2.TenantStats()
+			if len(got) != len(want) {
+				t.Fatalf("tenants after recovery = %+v, want %+v", got, want)
+			}
+			var samples int64
+			for i, ts := range got {
+				if ts != want[i] {
+					t.Errorf("tenant %s after recovery = %+v, want %+v", ts.Tenant, ts, want[i])
+				}
+				samples += ts.Samples
+			}
+			if st := db2.Stats(); samples != st.Samples {
+				t.Errorf("per-tenant samples sum to %d, head total %d", samples, st.Samples)
+			}
+		})
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"shastamon/internal/parallel"
 	"shastamon/internal/stats"
 	"shastamon/internal/tenant"
+	"shastamon/internal/wal"
 )
 
 // Sample is one (timestamp, value) pair. T is Unix milliseconds.
@@ -78,7 +79,7 @@ type DB struct {
 
 	// dur is the durability layer (WAL + checkpoint); nil for a
 	// memory-only DB. See durable.go.
-	dur *durability
+	dur *wal.Durable
 
 	// Tenant namespaces; defTenant is the lock-free default-tenant fast
 	// path, overrides resolve per-tenant series quotas.
@@ -190,8 +191,8 @@ func (db *DB) AppendTenant(id string, ls labels.Labels, t int64, v float64) erro
 	}
 	// durable: log the accepted sample while still under s.mu, the
 	// checkpoint's drain lock.
-	if db.dur != nil && db.dur.armed.Load() {
-		db.dur.d.Append(db.shardIndex(s.fp), appendSample(s.walPrefixFor(), t, v))
+	if db.dur != nil && db.dur.Armed() {
+		db.dur.Append(db.shardIndex(s.fp), appendSample(s.walPrefixFor(), t, v))
 	}
 	db.appends.Add(1)
 	ts.samples.Add(1)

@@ -17,6 +17,43 @@
 // the first bad length or checksum, counts the corruption, optionally
 // truncates the file back to the last good record, and keeps going —
 // losing the torn record, never the log.
+//
+// # The durable store directory
+//
+// Both stores are made durable by one state machine, Durable (durable.go),
+// over one directory each:
+//
+//	wal/shard-NN/%08d.wal   one segmented log per lock stripe of the store
+//	checkpoint.json         {"version","cuts",<the store's rows>}
+//	CLEAN                   marker: the last Shutdown's checkpoint covers everything
+//
+// A store contributes only what it alone knows (Store): how to apply one
+// record, how to rebuild itself from checkpoint rows, and how to snapshot
+// one shard. Everything else is decided here, once:
+//
+//   - Append. A record is logged under the same per-stream mutex that
+//     guards the in-memory append, so a snapshot can never land between an
+//     append and its record. A failed append is absorbed by the degradation
+//     breaker — the store keeps ingesting in memory, counted in
+//     DurableStats — and never reaches the pusher.
+//   - Checkpoint. Per shard: freeze (the store's locks) → rotate the log →
+//     snapshot → release, so the rows cover exactly the segments below the
+//     recorded cut. The document goes to checkpoint.json.tmp, is fsynced and
+//     renamed; only then are covered segments and dormant shard directories
+//     deleted. Any failure leaves the previous checkpoint and every segment
+//     in place: recovery is never worse than before the attempt.
+//   - Shutdown. A final checkpoint, then CLEAN — but only if no append,
+//     error or skip was counted since a baseline taken before that
+//     checkpoint began. A missing marker costs a replay; a wrong one would
+//     lose a record.
+//   - Recovery (OpenDurable). CLEAN present: restore the checkpoint, clear
+//     its cuts, then delete the log, then consume the marker — in that
+//     order, so a crash anywhere re-enters the same path and stale cuts can
+//     never prune a later generation's segments. Otherwise: restore the
+//     checkpoint if one parses (an unparsable one is counted corrupt and
+//     skipped; an unreadable one fails the open), drop the segments below
+//     each cut, and replay every shard-* directory in name order, counting
+//     and skipping corrupt records and repairing torn tails.
 package wal
 
 import (
@@ -355,10 +392,12 @@ func (l *Log) Rotate() (int, error) {
 }
 
 // DropBefore deletes segments with index < idx — checkpoint truncation.
-func (l *Log) DropBefore(idx int) error {
-	l.mu.Lock()
-	dir := l.dir
-	l.mu.Unlock()
+func (l *Log) DropBefore(idx int) error { return dropSegmentsBefore(l.dir, idx) }
+
+// dropSegmentsBefore removes segments with index < idx from a WAL
+// directory, open or not: the checkpointer truncates its own logs, and
+// recovery prunes segments the checkpoint covers before replaying.
+func dropSegmentsBefore(dir string, idx int) error {
 	idxs, err := listSegments(dir)
 	if err != nil {
 		return err

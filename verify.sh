@@ -26,6 +26,26 @@ go test -race -run 'TestMetaAlert' -count=1 ./internal/core/
 # detector — the durability paths must be order-independent.
 go test -race -run 'TestCrashRecovery|TestWALDegraded' -count=3 -shuffle=on ./internal/omni/ ./internal/core/
 
+# Durable-directory soak: the one crash-safety state machine
+# (internal/wal) and its two bindings — the per-store durability suites,
+# the crash-image table (the disk dies at every write and hooked operation
+# of a fixed script; every image must recover with nothing acknowledged
+# lost), the checkpoint policy tests and the disk-format pins — repeated,
+# shuffled, on one and two cores.
+GOMAXPROCS=1 go test -race -run 'TestDurable|TestTSDB|TestCrashImage|TestCheckpoint' -count=3 -shuffle=on ./internal/wal/ ./internal/loki/ ./internal/tsdb/
+GOMAXPROCS=2 go test -race -run 'TestDurable|TestTSDB|TestCrashImage|TestCheckpoint' -count=3 -shuffle=on ./internal/wal/ ./internal/loki/ ./internal/tsdb/
+
+# Decoder fuzz smoke: ten seconds of each byte-facing reader of the durable
+# directory (frame, record header + store codecs, checkpoint document +
+# rows), one target at a time. New corpus entries go to the build cache,
+# not the tree; only a failing input is written under testdata/. The store
+# targets recover a directory per input on worker pools, so their coverage
+# is never exactly repeatable and the default minimizer would spend the
+# whole budget re-running one input: it is turned off.
+for target in FuzzWALDecode FuzzRecordDecode FuzzCheckpointRows; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s -fuzzminimizetime=0 ./internal/wal/
+done
+
 # Tenant isolation suite: concurrent two-tenant pushes into shared lock
 # stripes, exact quota/rate accounting, tenant-keyed frontend queues and
 # cache, and the single-tenant golden-equality pins — all under the race
