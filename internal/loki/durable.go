@@ -13,6 +13,7 @@
 package loki
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -23,9 +24,8 @@ import (
 	"sync/atomic"
 
 	"shastamon/internal/chunkenc"
-	"shastamon/internal/labels"
 	"shastamon/internal/resilience"
-	"shastamon/internal/tenant"
+	"shastamon/internal/series"
 	"shastamon/internal/wal"
 )
 
@@ -48,11 +48,10 @@ type RecoveryInfo = wal.RecoveryInfo
 // binary WAL entry codec (base64 via encoding/json) — exact bytes, immune
 // to the JSON string escaping that would mangle non-UTF-8 log lines.
 type ckptStream struct {
-	Labels [][2]string `json:"labels"`
-	Tenant string      `json:"tenant,omitempty"` // empty = default tenant
-	LastTS int64       `json:"last_ts"`
-	Chunks []string    `json:"chunks,omitempty"` // spill file basenames
-	Head   []byte      `json:"head,omitempty"`
+	series.Row
+	LastTS int64    `json:"last_ts"`
+	Chunks []string `json:"chunks,omitempty"` // spill file basenames
+	Head   []byte   `json:"head,omitempty"`
 }
 
 type ckptFile struct {
@@ -74,7 +73,7 @@ func (s *Store) EnableDurability(dir string, opt wal.StoreOptions) (RecoveryInfo
 	var ck ckptFile
 	d, info, err := wal.OpenDurable(dir, wal.Store{
 		Name:       "wal:logs",
-		Shards:     len(s.shards),
+		Shards:     s.idx.Stripes(),
 		Checkpoint: &ck,
 		Restore:    func() (int, error) { return s.restoreStreams(chunks, ck.Streams) },
 		Replay:     s.replayRecord,
@@ -108,24 +107,11 @@ func (s *Store) WALBreaker() *resilience.Breaker {
 
 // --- record codec -----------------------------------------------------
 
-// walPrefixFor caches the encoded record header on the stream; called
-// under st.mu.
-func (st *stream) walPrefixFor() []byte {
-	if st.walPrefix == nil {
-		st.walPrefix = wal.AppendHeader(nil, wal.RecLogStream, st.tenant, st.labels)
-	}
-	return st.walPrefix
-}
-
 func appendEntries(buf []byte, entries []Entry) []byte {
 	buf = wal.AppendUvarint(buf, uint64(len(entries)))
-	var prev int64
-	for i, e := range entries {
-		if i == 0 {
-			buf = wal.AppendVarint(buf, e.Timestamp)
-		} else {
-			buf = wal.AppendVarint(buf, e.Timestamp-prev)
-		}
+	var prev int64 // timestamps are delta-coded; the first against 0
+	for _, e := range entries {
+		buf = wal.AppendVarint(buf, e.Timestamp-prev)
 		prev = e.Timestamp
 		buf = wal.AppendUvarint(buf, uint64(len(e.Line)))
 		buf = append(buf, e.Line...)
@@ -147,11 +133,7 @@ func readEntries(buf []byte) ([]Entry, []byte, error) {
 		if delta, buf, err = wal.ReadVarint(buf); err != nil {
 			return nil, nil, err
 		}
-		if i == 0 {
-			ts = delta
-		} else {
-			ts += delta
-		}
+		ts += delta
 		var ln uint64
 		if ln, buf, err = wal.ReadUvarint(buf); err != nil || ln > uint64(len(buf)) {
 			return nil, nil, fmt.Errorf("loki: wal record line: %w", wal.ErrCorrupt)
@@ -162,7 +144,8 @@ func readEntries(buf []byte) ([]Entry, []byte, error) {
 	return out, buf, nil
 }
 
-// replayRecord applies one WAL record through the normal push path.
+// replayRecord applies one WAL record through the normal push path. A
+// record whose label set no push could create is corrupt.
 func (s *Store) replayRecord(payload []byte) error {
 	tid, ls, rest, err := wal.ReadHeader(payload, wal.RecLogStream)
 	if err != nil {
@@ -174,7 +157,10 @@ func (s *Store) replayRecord(payload []byte) error {
 	}
 	// Validation rediscovers the same discards as the original push (OOO
 	// vs checkpointed lastTS, limits); never fatal for replay.
-	_ = s.pushStreamTenant(s.tenantStateFor(tid), PushStream{Labels: ls, Entries: entries})
+	err = s.pushStreamTenant(s.idx.Tenant(tid), PushStream{Labels: ls, Entries: entries})
+	if errors.Is(err, series.ErrInvalidLabels) {
+		return fmt.Errorf("loki: wal record: %w: %v", wal.ErrCorrupt, err)
+	}
 	return nil
 }
 
@@ -261,11 +247,12 @@ func (s *Store) maybeSpillSealed(c *chunkenc.Chunk) {
 // --- checkpoint -------------------------------------------------------
 
 // Checkpoint snapshots the store through the shared protocol (see
-// wal.Durable.Checkpoint): per shard it blocks stream lookup (shard
-// write-lock) and drains in-flight pushes (every stream mutex — WAL appends
-// happen under them), rotates the shard's WAL under those locks, then
-// snapshots every stream, spilling resident sealed chunks. Once the
-// checkpoint is durable, spill files nothing references are deleted.
+// wal.Durable.Checkpoint): per shard it freezes the stripe (series.Index
+// Freeze: stream lookup blocked, in-flight pushes drained — WAL appends
+// happen under the stream locks), rotates the shard's WAL under those
+// locks, then snapshots every stream, spilling resident sealed chunks.
+// Once the checkpoint is durable, spill files nothing references are
+// deleted.
 func (s *Store) Checkpoint() error {
 	dur := s.dur
 	if dur == nil {
@@ -279,28 +266,11 @@ func (s *Store) Checkpoint() error {
 	// GC below only touches files at or below this mark.
 	seqMark := dur.chunkSeq.Load()
 	wrote, err := dur.Checkpoint(&ck, func(i int, rotate func() error) error {
-		sh := s.shards[i]
-		sh.mu.Lock()
-		for _, st := range sh.ordered {
-			st.mu.Lock()
-		}
-		defer func() {
-			for _, st := range sh.ordered {
-				st.mu.Unlock()
-			}
-			sh.mu.Unlock()
-		}()
-		if err := rotate(); err != nil {
-			return err
-		}
-		for _, st := range sh.ordered {
+		return s.idx.Freeze(i, rotate, func(st *stream) error {
 			cs, err := s.snapshotStream(st, refs)
-			if err != nil {
-				return err
-			}
 			ck.Streams = append(ck.Streams, cs)
-		}
-		return nil
+			return err
+		})
 	})
 	if wrote {
 		gcSpills(dur.chunks, refs, seqMark)
@@ -311,14 +281,9 @@ func (s *Store) Checkpoint() error {
 // snapshotStream captures one stream under its (held) mutex, spilling any
 // resident sealed chunks so the checkpoint can reference them by file.
 func (s *Store) snapshotStream(st *stream, refs map[string]bool) (ckptStream, error) {
-	cs := ckptStream{LastTS: st.lastTS}
-	if st.tenant != "" && st.tenant != tenant.DefaultID {
-		cs.Tenant = st.tenant
-	}
-	for _, l := range st.labels {
-		cs.Labels = append(cs.Labels, [2]string{l.Name, l.Value})
-	}
-	for _, c := range st.chunks {
+	d := &st.Data
+	cs := ckptStream{Row: st.Row(), LastTS: d.lastTS}
+	for _, c := range d.chunks {
 		if !c.Spilled() {
 			if err := s.spillChunk(c); err != nil {
 				return cs, err
@@ -328,8 +293,8 @@ func (s *Store) snapshotStream(st *stream, refs map[string]bool) (ckptStream, er
 		refs[base] = true
 		cs.Chunks = append(cs.Chunks, base)
 	}
-	if st.head != nil && st.head.Entries() > 0 {
-		entries, err := st.head.All(math.MinInt64, math.MaxInt64)
+	if d.head != nil && d.head.Entries() > 0 {
+		entries, err := d.head.All(math.MinInt64, math.MaxInt64)
 		if err != nil {
 			return cs, err
 		}
@@ -366,30 +331,31 @@ func gcSpills(dir string, refs map[string]bool, maxSeq int64) {
 // --- restore ----------------------------------------------------------
 
 // restoreStreams rebuilds streams from checkpoint rows; corrupt spill
-// files and head blobs are skipped (counted), everything else is restored
-// exactly. Counters — store-wide and per-tenant, as the push path credits
-// both — are derived from the restored state, not persisted: the push
-// path's atomics race the snapshot, derived values cannot.
+// files and head blobs, and rows whose label set no push could create,
+// are skipped (counted), everything else is restored exactly. Counters —
+// store-wide and per-tenant, as the push path credits both — are derived
+// from the restored state, not persisted: the push path's atomics race
+// the snapshot, derived values cannot.
 func (s *Store) restoreStreams(chunks string, rows []ckptStream) (corrupt int, err error) {
 	for _, cs := range rows {
-		ls := make(labels.Labels, 0, len(cs.Labels))
-		for _, pair := range cs.Labels {
-			ls = append(ls, labels.Label{Name: pair[0], Value: pair[1]})
+		st, i, err := s.idx.Restore(cs.Row)
+		if errors.Is(err, series.ErrInvalidLabels) {
+			corrupt++
+			continue
 		}
-		ts := s.tenantStateFor(cs.Tenant)
-		st, sh, err := s.getOrCreateStream(ts, labels.New(ls...))
 		if err != nil {
 			return corrupt, fmt.Errorf("loki: checkpoint restore: %w", err)
 		}
 		var entries, bytes int64
-		st.mu.Lock()
+		st.Lock()
+		d := &st.Data
 		for _, base := range cs.Chunks {
 			c, err := chunkenc.OpenSpill(filepath.Join(chunks, base))
 			if err != nil {
 				corrupt++
 				continue
 			}
-			st.chunks = append(st.chunks, c)
+			d.chunks = append(d.chunks, c)
 			entries += int64(c.Entries())
 			bytes += int64(c.RawBytes())
 		}
@@ -399,18 +365,18 @@ func (s *Store) restoreStreams(chunks string, rows []ckptStream) (corrupt int, e
 				corrupt++
 			}
 			for _, e := range head {
-				if _, aerr := st.append(e, s.limits.ChunkOptions); aerr == nil {
+				if _, aerr := d.append(e, s.limits.ChunkOptions); aerr == nil {
 					entries++
 					bytes += int64(len(e.Line))
 				}
 			}
 		}
-		st.lastTS = cs.LastTS
-		st.mu.Unlock()
-		sh.entries.Add(entries)
-		sh.rawBytes.Add(bytes)
-		ts.entries.Add(entries)
-		ts.bytes.Add(bytes)
+		d.lastTS = cs.LastTS
+		st.Unlock()
+		s.counters[i].entries.Add(entries)
+		s.counters[i].rawBytes.Add(bytes)
+		st.Tenant().Data.entries.Add(entries)
+		st.Tenant().Data.bytes.Add(bytes)
 	}
 	return corrupt, nil
 }

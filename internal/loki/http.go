@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -104,18 +103,7 @@ func (s *Store) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("/loki/api/v1/labels", func(w http.ResponseWriter, r *http.Request) {
-		names := map[string]bool{}
-		for _, ls := range s.SeriesTenant(tenant.FromRequest(r), nil) {
-			for _, l := range ls {
-				names[l.Name] = true
-			}
-		}
-		out := make([]string, 0, len(names))
-		for n := range names {
-			out = append(out, n)
-		}
-		sort.Strings(out)
-		writeLokiJSON(w, map[string]interface{}{"status": "success", "data": out})
+		writeLokiJSON(w, map[string]interface{}{"status": "success", "data": s.idx.LabelNames(tenant.FromRequest(r))})
 	})
 	mux.HandleFunc("/loki/api/v1/label/", func(w http.ResponseWriter, r *http.Request) {
 		rest := strings.TrimPrefix(r.URL.Path, "/loki/api/v1/label/")

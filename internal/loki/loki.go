@@ -5,12 +5,8 @@
 // combination form a stream, and each stream fills chunks of its own — the
 // exact storage model §IV.A of the paper walks through.
 //
-// The store is internally sharded: streams are striped over N lock-striped
-// shards by label fingerprint (N = GOMAXPROCS by default), mirroring the
-// paper's 8-worker Loki cluster inside one process. Concurrent pushers to
-// different streams proceed without contending on a store-wide mutex, and
-// ingest statistics are plain atomics, so the hot path takes exactly one
-// shard read-lock plus one stream lock per pushed stream.
+// Streams live in a series.Index (striping, tenants, quotas, selection):
+// see internal/series.
 package loki
 
 import (
@@ -26,8 +22,10 @@ import (
 	"shastamon/internal/labels"
 	"shastamon/internal/obs"
 	"shastamon/internal/parallel"
+	"shastamon/internal/series"
 	"shastamon/internal/stats"
 	"shastamon/internal/tenant"
+	"shastamon/internal/wal"
 )
 
 // Entry is a single log line.
@@ -99,45 +97,36 @@ var (
 	ErrRateLimited = errors.New("loki: tenant ingest rate limit exceeded")
 	// ErrReservedLabel rejects pushes carrying the internal __tenant__
 	// label the WAL uses to persist stream ownership.
-	ErrReservedLabel = errors.New("loki: " + tenant.ReservedLabel + " is a reserved label")
+	ErrReservedLabel = series.ErrReservedLabel
 )
 
-// stream is the per-label-set state: an ordered list of filled chunks plus
-// the currently open head chunk.
-type stream struct {
-	labels labels.Labels
-	fp     labels.Fingerprint
-	// tenant namespaces the stream: two tenants pushing identical label
-	// sets get distinct streams (and, seeded, distinct fingerprints).
-	tenant string
+// stream is one label set of one tenant (two tenants pushing identical
+// label sets get distinct streams and, seeded, distinct fingerprints).
+type stream = series.Node[streamData, tenantData]
 
-	mu     sync.Mutex
+// streamData is a stream's content, guarded by the stream lock: an
+// ordered list of filled chunks plus the currently open head chunk.
+type streamData struct {
 	chunks []*chunkenc.Chunk // sealed (full) chunks, oldest first
 	head   *chunkenc.Chunk
 	// lastTS tracks the newest accepted timestamp so out-of-order entries
 	// are rejected across chunk cuts as well.
 	lastTS int64
-	// walPrefix caches the stream's encoded WAL record prefix (type byte
-	// plus labels) so durable pushes don't re-encode labels per batch.
-	walPrefix []byte
 }
 
-// shard is one lock stripe of the store: its own stream index, a push
-// counter the shard-balance metric reads, and the shard's slice of the
-// ingest accounting. The accounting counters live here rather than on
-// the Store so concurrent pushers to different stripes never write the
-// same cache lines — store-wide atomics were the one piece of state
-// every pusher still shared. Stats() sums them on read.
-type shard struct {
-	mu      sync.RWMutex
-	streams map[labels.Fingerprint][]*stream // collision list per fingerprint
-	ordered []*stream                        // insertion order, for queries
-
+// stripeCounters is one lock stripe's slice of the ingest accounting plus
+// the push counter the shard-balance metric reads. The counters live per
+// stripe rather than on the Store so concurrent pushers to different
+// stripes never write the same cache lines — store-wide atomics were the
+// one piece of state every pusher still shared. Stats() sums them on
+// read.
+type stripeCounters struct {
 	pushes        atomic.Int64
 	entries       atomic.Int64
 	rawBytes      atomic.Int64
 	discardedOOO  atomic.Int64
 	discardedSize atomic.Int64
+	_             [24]byte // pad to a cache line
 }
 
 // Store is an in-process Loki: ingester plus index plus chunk store.
@@ -148,13 +137,11 @@ type Store struct {
 	obsOnce sync.Once
 	obsReg  *obs.Registry
 
-	shards []*shard
-	cache  *chunkenc.BlockCache
-
-	// streamCount is the store-wide stream total; MaxStreams is enforced
-	// against it with a reserve-then-check atomic add, keeping the limit
-	// exact no matter how many shards create streams concurrently.
-	streamCount atomic.Int64
+	// idx indexes the streams (MaxStreams is its store-wide cap);
+	// counters[i] accounts pushes into its stripe i.
+	idx      *series.Index[streamData, tenantData]
+	counters []stripeCounters
+	cache    *chunkenc.BlockCache
 
 	// queryInFlight counts live Select/Flush workers for the
 	// query-parallelism gauge.
@@ -164,24 +151,17 @@ type Store struct {
 	// memory-only store. See durable.go.
 	dur *durability
 
-	// Tenant namespaces. defTenant is the cached default-tenant state so
-	// the single-tenant hot path never touches the map or its lock.
-	defTenant *tenantState
-	tmu       sync.RWMutex
-	tenants   map[string]*tenantState
-
 	// nowNS feeds the per-tenant rate limiters; swapped in tests.
 	nowNS func() int64
 }
 
-// tenantState is the per-tenant slice of the store: exact stream
-// accounting, ingest counters, and the optional rate limiter and private
-// chunk cache the tenant's overrides configure.
-type tenantState struct {
-	id         string
-	maxStreams int64
+// tenantState is one tenant's namespace in the index.
+type tenantState = series.Tenant[tenantData]
 
-	streams     atomic.Int64
+// tenantData is the store's per-tenant slice beyond the index's stream
+// accounting: ingest counters, and the optional rate limiter and private
+// chunk cache the tenant's overrides configure.
+type tenantData struct {
 	entries     atomic.Int64
 	bytes       atomic.Int64
 	rateLimited atomic.Int64
@@ -199,26 +179,22 @@ func NewStore(limits Limits) *Store {
 		limits.MaxLineSize = 256 * 1024
 	}
 	n := parallel.Workers(limits.Shards)
-	s := &Store{limits: limits, shards: make([]*shard, n)}
-	for i := range s.shards {
-		s.shards[i] = &shard{streams: map[labels.Fingerprint][]*stream{}}
-	}
+	s := &Store{limits: limits, counters: make([]stripeCounters, n)}
 	if limits.ChunkCacheBytes >= 0 {
 		s.cache = chunkenc.NewBlockCache(limits.ChunkCacheBytes)
 	}
 	s.nowNS = func() int64 { return time.Now().UnixNano() }
-	s.tenants = map[string]*tenantState{}
-	s.defTenant = s.newTenantState(tenant.DefaultID)
-	s.tenants[tenant.DefaultID] = s.defTenant
+	quota := func(id string) int64 { return int64(limits.TenantOverrides.For(id).MaxStreams) }
+	s.idx = series.New(n, limits.MaxStreams, ErrMaxStreams, quota, streamData{lastTS: -1 << 62}, s.setupTenant)
 	return s
 }
 
-// newTenantState materializes a tenant's quotas from the overrides.
-func (s *Store) newTenantState(id string) *tenantState {
-	lim := s.limits.TenantOverrides.For(id)
-	ts := &tenantState{id: id, maxStreams: int64(lim.MaxStreams)}
+// setupTenant materializes a tenant's rate limiter and private cache from
+// the overrides.
+func (s *Store) setupTenant(ts *tenantState) {
+	lim := s.limits.TenantOverrides.For(ts.ID)
 	if lim.IngestRateBytes > 0 {
-		ts.limiter = tenant.NewRateLimiter(float64(lim.IngestRateBytes), float64(lim.IngestBurstBytes))
+		ts.Data.limiter = tenant.NewRateLimiter(float64(lim.IngestRateBytes), float64(lim.IngestBurstBytes))
 	}
 	if lim.ChunkCacheShare > 0 && s.cache != nil {
 		total := s.limits.ChunkCacheBytes
@@ -226,64 +202,29 @@ func (s *Store) newTenantState(id string) *tenantState {
 			total = chunkenc.DefaultCacheBytes
 		}
 		if b := int(float64(total) * lim.ChunkCacheShare); b > 0 {
-			ts.cache = chunkenc.NewBlockCache(b)
+			ts.Data.cache = chunkenc.NewBlockCache(b)
 		}
 	}
-	return ts
-}
-
-// tenantStateFor returns (creating on first use) the tenant's state. The
-// default tenant takes a direct field read — no lock, no map.
-func (s *Store) tenantStateFor(id string) *tenantState {
-	if id == "" || id == tenant.DefaultID {
-		return s.defTenant
-	}
-	s.tmu.RLock()
-	ts := s.tenants[id]
-	s.tmu.RUnlock()
-	if ts != nil {
-		return ts
-	}
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	if ts = s.tenants[id]; ts == nil {
-		ts = s.newTenantState(id)
-		s.tenants[id] = ts
-	}
-	return ts
-}
-
-// tenantStatePeek is the read-path lookup: it never creates state, so a
-// query for an unknown tenant cannot grow the tenant map (or surface a
-// zero row in TenantStats).
-func (s *Store) tenantStatePeek(id string) *tenantState {
-	if id == "" || id == tenant.DefaultID {
-		return s.defTenant
-	}
-	s.tmu.RLock()
-	ts := s.tenants[id]
-	s.tmu.RUnlock()
-	return ts
 }
 
 // cacheFor picks the tenant's private sealed-block cache when one is
 // configured, else the shared store cache.
 func (s *Store) cacheFor(ts *tenantState) *chunkenc.BlockCache {
-	if ts != nil && ts.cache != nil {
-		return ts.cache
+	if ts != nil && ts.Data.cache != nil {
+		return ts.Data.cache
 	}
 	return s.cache
 }
 
 // Shards returns the number of lock stripes the store runs.
-func (s *Store) Shards() int { return len(s.shards) }
+func (s *Store) Shards() int { return s.idx.Stripes() }
 
 // ShardPushes returns, per shard, the number of stream pushes it served —
 // the balance check for the fingerprint striping.
 func (s *Store) ShardPushes() []int64 {
-	out := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.pushes.Load()
+	out := make([]int64, len(s.counters))
+	for i := range s.counters {
+		out[i] = s.counters[i].pushes.Load()
 	}
 	return out
 }
@@ -294,14 +235,6 @@ func (s *Store) CacheStats() chunkenc.CacheStats { return s.cache.Stats() }
 
 // QueryParallelism reports the number of in-flight query workers.
 func (s *Store) QueryParallelism() int64 { return s.queryInFlight.Load() }
-
-func (s *Store) shardFor(fp labels.Fingerprint) *shard {
-	return s.shards[uint64(fp)%uint64(len(s.shards))]
-}
-
-func (s *Store) shardIndex(fp labels.Fingerprint) int {
-	return int(uint64(fp) % uint64(len(s.shards)))
-}
 
 // Push ingests a batch of streams. Entries within each stream must be in
 // non-decreasing timestamp order; out-of-order entries are dropped and
@@ -321,16 +254,16 @@ func (s *Store) PushContext(ctx context.Context, batch []PushStream) error {
 // rejected (ErrRateLimited) against its line bytes up front, mirroring
 // Loki's per-tenant distributor check.
 func (s *Store) PushTenant(id string, batch []PushStream) error {
-	ts := s.tenantStateFor(id)
-	if ts.limiter != nil {
+	ts := s.idx.Tenant(id)
+	if ts.Data.limiter != nil {
 		var n int64
 		for _, ps := range batch {
 			for _, e := range ps.Entries {
 				n += int64(len(e.Line))
 			}
 		}
-		if !ts.limiter.AllowNLazy(s.nowNS, float64(n)) {
-			ts.rateLimited.Add(n)
+		if !ts.Data.limiter.AllowNLazy(s.nowNS, float64(n)) {
+			ts.Data.rateLimited.Add(n)
 			return fmt.Errorf("%w (tenant %s)", ErrRateLimited, id)
 		}
 	}
@@ -343,10 +276,6 @@ func (s *Store) PushTenant(id string, batch []PushStream) error {
 	return firstErr
 }
 
-func (s *Store) pushStream(ps PushStream) error {
-	return s.pushStreamTenant(s.defTenant, ps)
-}
-
 func (s *Store) pushStreamTenant(ts *tenantState, ps PushStream) error {
 	if len(ps.Labels) == 0 {
 		return ErrEmptyLabels
@@ -354,26 +283,22 @@ func (s *Store) pushStreamTenant(ts *tenantState, ps PushStream) error {
 	if len(ps.Labels) > s.limits.MaxLabelNamesPerStream {
 		return fmt.Errorf("%w: %d > %d (%s)", ErrTooManyLabels, len(ps.Labels), s.limits.MaxLabelNamesPerStream, ps.Labels)
 	}
-	if err := ps.Labels.Validate(); err != nil {
-		return err
-	}
-	if ps.Labels.Has(tenant.ReservedLabel) {
-		return ErrReservedLabel
-	}
-	st, sh, err := s.getOrCreateStream(ts, ps.Labels)
+	st, i, err := s.idx.GetOrCreate(ts, ps.Labels)
 	if err != nil {
 		return err
 	}
-	sh.pushes.Add(1)
+	c := &s.counters[i]
+	c.pushes.Add(1)
 	var firstErr error
 	var accepted, bytes, dSize, dOOO int64
 	// durable: log accepted entries to the shard WAL before the push
-	// returns. The append happens under st.mu, which is the checkpoint's
-	// drain lock — a snapshot can never land between an in-memory append
-	// and its WAL record.
+	// returns. The append happens under the stream lock, which is the
+	// checkpoint's drain lock — a snapshot can never land between an
+	// in-memory append and its WAL record.
 	durable := s.dur != nil && s.dur.Armed()
 	var walEntries []Entry
-	st.mu.Lock()
+	st.Lock()
+	d := &st.Data
 	for _, e := range ps.Entries {
 		if len(e.Line) > s.limits.MaxLineSize {
 			dSize++
@@ -382,14 +307,14 @@ func (s *Store) pushStreamTenant(ts *tenantState, ps PushStream) error {
 			}
 			continue
 		}
-		if e.Timestamp < st.lastTS {
+		if e.Timestamp < d.lastTS {
 			dOOO++
 			if firstErr == nil {
 				firstErr = chunkenc.ErrOutOfOrder
 			}
 			continue
 		}
-		sealed, err := st.append(e, s.limits.ChunkOptions)
+		sealed, err := d.append(e, s.limits.ChunkOptions)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -399,7 +324,7 @@ func (s *Store) pushStreamTenant(ts *tenantState, ps PushStream) error {
 		if sealed != nil {
 			s.maybeSpillSealed(sealed)
 		}
-		st.lastTS = e.Timestamp
+		d.lastTS = e.Timestamp
 		accepted++
 		bytes += int64(len(e.Line))
 		if durable {
@@ -407,18 +332,18 @@ func (s *Store) pushStreamTenant(ts *tenantState, ps PushStream) error {
 		}
 	}
 	if durable && len(walEntries) > 0 {
-		s.dur.Append(s.shardIndex(st.fp), appendEntries(st.walPrefixFor(), walEntries))
+		s.dur.Append(i, appendEntries(st.WALHeader(wal.RecLogStream), walEntries))
 	}
-	st.mu.Unlock()
-	sh.entries.Add(accepted)
-	sh.rawBytes.Add(bytes)
-	ts.entries.Add(accepted)
-	ts.bytes.Add(bytes)
+	st.Unlock()
+	c.entries.Add(accepted)
+	c.rawBytes.Add(bytes)
+	ts.Data.entries.Add(accepted)
+	ts.Data.bytes.Add(bytes)
 	if dSize > 0 {
-		sh.discardedSize.Add(dSize)
+		c.discardedSize.Add(dSize)
 	}
 	if dOOO > 0 {
-		sh.discardedOOO.Add(dOOO)
+		c.discardedOOO.Add(dOOO)
 	}
 	return firstErr
 }
@@ -426,59 +351,20 @@ func (s *Store) pushStreamTenant(ts *tenantState, ps PushStream) error {
 // append adds one entry to the stream's head chunk, cutting a new head
 // when the old one fills. It returns the just-sealed chunk (nil normally)
 // so the durable store can spill it to disk.
-func (st *stream) append(e Entry, opt chunkenc.Options) (*chunkenc.Chunk, error) {
+func (st *streamData) append(e Entry, opt chunkenc.Options) (*chunkenc.Chunk, error) {
 	if st.head == nil {
 		st.head = chunkenc.New(opt)
 	}
 	err := st.head.Append(chunkenc.Entry{Timestamp: e.Timestamp, Line: e.Line})
 	if err == chunkenc.ErrChunkFull {
-		var sealed *chunkenc.Chunk
-		_ = st.head.Close()
-		st.chunks = append(st.chunks, st.head)
-		sealed = st.head
+		sealed := st.head
+		_ = sealed.Close()
+		st.chunks = append(st.chunks, sealed)
 		st.head = chunkenc.New(opt)
 		err = st.head.Append(chunkenc.Entry{Timestamp: e.Timestamp, Line: e.Line})
 		return sealed, err
 	}
 	return nil, err
-}
-
-func (s *Store) getOrCreateStream(ts *tenantState, ls labels.Labels) (*stream, *shard, error) {
-	fp := tenant.Fingerprint(ts.id, ls)
-	sh := s.shardFor(fp)
-	sh.mu.RLock()
-	for _, st := range sh.streams[fp] {
-		if st.tenant == ts.id && st.labels.Equal(ls) {
-			sh.mu.RUnlock()
-			return st, sh, nil
-		}
-	}
-	sh.mu.RUnlock()
-
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, st := range sh.streams[fp] {
-		if st.tenant == ts.id && st.labels.Equal(ls) {
-			return st, sh, nil
-		}
-	}
-	// Reserve a slot before creating: the adds are atomic across shards,
-	// so concurrent creators can never overshoot the store-wide or the
-	// per-tenant MaxStreams; a tripped tenant limit rolls the store-wide
-	// reservation back.
-	if n := s.streamCount.Add(1); s.limits.MaxStreams > 0 && n > int64(s.limits.MaxStreams) {
-		s.streamCount.Add(-1)
-		return nil, nil, ErrMaxStreams
-	}
-	if n := ts.streams.Add(1); ts.maxStreams > 0 && n > ts.maxStreams {
-		ts.streams.Add(-1)
-		s.streamCount.Add(-1)
-		return nil, nil, fmt.Errorf("%w (tenant %s)", ErrMaxStreams, ts.id)
-	}
-	st := &stream{labels: ls.Copy(), fp: fp, tenant: ts.id, lastTS: -1 << 62}
-	sh.streams[fp] = append(sh.streams[fp], st)
-	sh.ordered = append(sh.ordered, st)
-	return st, sh, nil
 }
 
 // SelectedStream is a query result stream: labels plus matching entries in
@@ -512,35 +398,26 @@ func (s *Store) SelectContext(ctx context.Context, sel []*labels.Matcher, mint, 
 	if err != nil {
 		return nil, err
 	}
+	ts := s.idx.Peek(tid)
 	var cand []*stream
-	shardsTouched := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n := len(cand)
-		for _, st := range sh.ordered {
-			if st.tenant != tid {
-				continue
-			}
-			if shardOf > 0 && uint64(st.fp)%uint64(shardOf) != uint64(shardIdx) {
-				continue
-			}
-			if labels.MatchLabels(st.labels, sel) {
-				cand = append(cand, st)
-			}
-		}
-		sh.mu.RUnlock()
-		if len(cand) > n {
-			shardsTouched++
-		}
+	if shardOf == 0 {
+		cand = s.idx.Select(ts, sel)
+	} else {
+		// The partition test goes before the matchers: a fan-out of n
+		// sub-queries then matches each stream once, not n times.
+		cand = s.idx.Scan(func(st *stream) bool {
+			return uint64(st.FP)%shardOf == shardIdx && st.Tenant() == ts && labels.MatchLabels(st.Labels, sel)
+		})
 	}
+	shardsTouched := s.idx.Touched(cand)
 	sc.AddShardsTouched(int64(shardsTouched))
 	sc.AddStreams(int64(len(cand)))
 
-	qcache := s.cacheFor(s.tenantStatePeek(tid))
+	qcache := s.cacheFor(ts)
 	results := make([][]Entry, len(cand))
 	errs := make([]error, len(cand))
 	parallel.Do(len(cand), parallel.Workers(0), &s.queryInFlight, func(i int) {
-		results[i], errs[i] = cand[i].query(ctx, mint, maxt, qcache, sc)
+		results[i], errs[i] = query(ctx, cand[i], mint, maxt, qcache, sc)
 	})
 	sc.AddSpan("loki.select", started, time.Now(),
 		fmt.Sprintf("%d streams over %d shards", len(cand), shardsTouched))
@@ -553,7 +430,7 @@ func (s *Store) SelectContext(ctx context.Context, sel []*labels.Matcher, mint, 
 			return nil, errs[i]
 		}
 		if len(results[i]) > 0 {
-			out = append(out, SelectedStream{Labels: st.labels, Entries: results[i]})
+			out = append(out, SelectedStream{Labels: st.Labels, Entries: results[i]})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Labels.String() < out[j].Labels.String() })
@@ -597,9 +474,9 @@ func splitShardMatcher(sel []*labels.Matcher) ([]*labels.Matcher, uint64, uint64
 // scan mid-chunk, large enough to keep the check off the per-line path.
 const queryCheckEvery = 1024
 
-func (st *stream) query(ctx context.Context, mint, maxt int64, cache *chunkenc.BlockCache, sc *stats.Context) ([]Entry, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+func query(ctx context.Context, st *stream, mint, maxt int64, cache *chunkenc.BlockCache, sc *stats.Context) ([]Entry, error) {
+	st.Lock()
+	defer st.Unlock()
 	var w stats.Worker
 	var out []Entry
 	sinceCheck := 0
@@ -635,7 +512,7 @@ func (st *stream) query(ctx context.Context, mint, maxt int64, cache *chunkenc.B
 		w.CacheMisses += is.CacheMisses
 		return it.Err()
 	}
-	for _, c := range st.chunks {
+	for _, c := range st.Data.chunks {
 		if err := collect(c); err != nil {
 			return nil, err
 		}
@@ -644,8 +521,8 @@ func (st *stream) query(ctx context.Context, mint, maxt int64, cache *chunkenc.B
 			return nil, context.Cause(ctx)
 		}
 	}
-	if st.head != nil {
-		if err := collect(st.head); err != nil {
+	if st.Data.head != nil {
+		if err := collect(st.Data.head); err != nil {
 			return nil, err
 		}
 	}
@@ -664,21 +541,7 @@ func (s *Store) Series(sel []*labels.Matcher) []labels.Labels {
 
 // SeriesTenant is Series within one tenant's namespace.
 func (s *Store) SeriesTenant(id string, sel []*labels.Matcher) []labels.Labels {
-	var out []labels.Labels
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, st := range sh.ordered {
-			if st.tenant != id {
-				continue
-			}
-			if labels.MatchLabels(st.labels, sel) {
-				out = append(out, st.labels)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return s.idx.Series(id, sel)
 }
 
 // LabelValues returns the sorted distinct values of a label name across the
@@ -689,25 +552,7 @@ func (s *Store) LabelValues(name string) []string {
 
 // LabelValuesTenant is LabelValues within one tenant's namespace.
 func (s *Store) LabelValuesTenant(id, name string) []string {
-	set := map[string]bool{}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, st := range sh.ordered {
-			if st.tenant != id {
-				continue
-			}
-			if v := st.labels.Get(name); v != "" {
-				set[v] = true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	return s.idx.LabelValues(id, name)
 }
 
 // Stats is a snapshot of store counters.
@@ -724,28 +569,28 @@ type Stats struct {
 // Stats returns current counters. CompressedBytes counts sealed blocks and
 // raw head data, so the compression ratio converges as chunks fill.
 func (s *Store) Stats() Stats {
-	st := Stats{Streams: int(s.streamCount.Load())}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, str := range sh.ordered {
-			str.mu.Lock()
-			st.Chunks += len(str.chunks)
-			if str.head != nil && str.head.Entries() > 0 {
-				st.Chunks++
-			}
-			for _, c := range str.chunks {
-				st.CompressedBytes += int64(c.CompressedBytes())
-			}
-			if str.head != nil {
-				st.CompressedBytes += int64(str.head.CompressedBytes())
-			}
-			str.mu.Unlock()
+	st := Stats{Streams: int(s.idx.Live())}
+	for _, str := range s.idx.All() {
+		str.Lock()
+		d := &str.Data
+		st.Chunks += len(d.chunks)
+		if d.head != nil && d.head.Entries() > 0 {
+			st.Chunks++
 		}
-		sh.mu.RUnlock()
-		st.Entries += sh.entries.Load()
-		st.RawBytes += sh.rawBytes.Load()
-		st.DiscardedOOO += sh.discardedOOO.Load()
-		st.DiscardedTooLong += sh.discardedSize.Load()
+		for _, c := range d.chunks {
+			st.CompressedBytes += int64(c.CompressedBytes())
+		}
+		if d.head != nil {
+			st.CompressedBytes += int64(d.head.CompressedBytes())
+		}
+		str.Unlock()
+	}
+	for i := range s.counters {
+		c := &s.counters[i]
+		st.Entries += c.entries.Load()
+		st.RawBytes += c.rawBytes.Load()
+		st.DiscardedOOO += c.discardedOOO.Load()
+		st.DiscardedTooLong += c.discardedSize.Load()
 	}
 	return st
 }
@@ -761,19 +606,16 @@ type TenantStat struct {
 
 // TenantStats snapshots per-tenant counters, sorted by tenant ID.
 func (s *Store) TenantStats() []TenantStat {
-	s.tmu.RLock()
-	out := make([]TenantStat, 0, len(s.tenants))
-	for _, ts := range s.tenants {
+	var out []TenantStat
+	for _, ts := range s.idx.Tenants() {
 		out = append(out, TenantStat{
-			Tenant:           ts.id,
-			Streams:          ts.streams.Load(),
-			Entries:          ts.entries.Load(),
-			RawBytes:         ts.bytes.Load(),
-			RateLimitedBytes: ts.rateLimited.Load(),
+			Tenant:           ts.ID,
+			Streams:          ts.Live(),
+			Entries:          ts.Data.entries.Load(),
+			RawBytes:         ts.Data.bytes.Load(),
+			RateLimitedBytes: ts.Data.rateLimited.Load(),
 		})
 	}
-	s.tmu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
 
@@ -781,20 +623,15 @@ func (s *Store) TenantStats() []TenantStat {
 // fully-compressed sizes; ingestion may continue afterwards. Sealing
 // compresses, so streams are flushed on the worker pool.
 func (s *Store) Flush() error {
-	var streams []*stream
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		streams = append(streams, sh.ordered...)
-		sh.mu.RUnlock()
-	}
+	streams := s.idx.All()
 	errs := make([]error, len(streams))
 	parallel.Do(len(streams), parallel.Workers(0), &s.queryInFlight, func(i int) {
 		st := streams[i]
-		st.mu.Lock()
-		if st.head != nil {
-			errs[i] = st.head.Close()
+		st.Lock()
+		if st.Data.head != nil {
+			errs[i] = st.Data.head.Close()
 		}
-		st.mu.Unlock()
+		st.Unlock()
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -810,56 +647,32 @@ func (s *Store) Flush() error {
 // It returns the number of chunks dropped.
 func (s *Store) DeleteBefore(ts int64) int {
 	dropped := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		keptStreams := sh.ordered[:0]
-		for _, st := range sh.ordered {
-			tcache := s.cacheFor(s.tenantStateFor(st.tenant))
-			st.mu.Lock()
-			kept := st.chunks[:0]
-			for _, c := range st.chunks {
-				if _, maxt, ok := c.Bounds(); ok && maxt < ts {
-					dropped++
-					tcache.DropChunk(c)
-					// The spill file (if any) is left for the next
-					// checkpoint's GC: an in-flight query that captured
-					// the chunk before retention ran may still fault
-					// payloads from it, so unlinking here would fail that
-					// query with ENOENT.
-					continue
-				}
-				kept = append(kept, c)
-			}
-			st.chunks = kept
-			if st.head != nil {
-				if _, maxt, ok := st.head.Bounds(); ok && maxt < ts {
-					dropped++
-					tcache.DropChunk(st.head)
-					st.head = nil
-				}
-			}
-			empty := len(st.chunks) == 0 && (st.head == nil || st.head.Entries() == 0)
-			st.mu.Unlock()
-			if empty {
-				// remove from fingerprint map and release the stream slot
-				list := sh.streams[st.fp]
-				for i, other := range list {
-					if other == st {
-						sh.streams[st.fp] = append(list[:i], list[i+1:]...)
-						break
-					}
-				}
-				if len(sh.streams[st.fp]) == 0 {
-					delete(sh.streams, st.fp)
-				}
-				s.streamCount.Add(-1)
-				s.tenantStateFor(st.tenant).streams.Add(-1)
+	s.idx.Sweep(func(st *stream) bool {
+		tcache := s.cacheFor(st.Tenant())
+		d := &st.Data
+		kept := d.chunks[:0]
+		for _, c := range d.chunks {
+			if _, maxt, ok := c.Bounds(); ok && maxt < ts {
+				dropped++
+				tcache.DropChunk(c)
+				// The spill file (if any) is left for the next
+				// checkpoint's GC: an in-flight query that captured the
+				// chunk before retention ran may still fault payloads
+				// from it, so unlinking here would fail that query with
+				// ENOENT.
 				continue
 			}
-			keptStreams = append(keptStreams, st)
+			kept = append(kept, c)
 		}
-		sh.ordered = keptStreams
-		sh.mu.Unlock()
-	}
+		d.chunks = kept
+		if d.head != nil {
+			if _, maxt, ok := d.head.Bounds(); ok && maxt < ts {
+				dropped++
+				tcache.DropChunk(d.head)
+				d.head = nil
+			}
+		}
+		return len(d.chunks) == 0 && (d.head == nil || d.head.Entries() == 0)
+	})
 	return dropped
 }

@@ -80,19 +80,20 @@ func TestTenantGoldenSingleTenant(t *testing.T) {
 		push(t, s, ls, Entry{1e9, "x"})
 	}
 	seen := 0
-	for _, sh := range s.shards {
-		for _, st := range sh.ordered {
+	for i := 0; i < s.Shards(); i++ {
+		_ = s.idx.Freeze(i, func() error { return nil }, func(st *stream) error {
 			seen++
-			if st.tenant != tenant.DefaultID {
-				t.Fatalf("default push landed in tenant %q", st.tenant)
+			if st.Tenant().ID != tenant.DefaultID {
+				t.Fatalf("default push landed in tenant %q", st.Tenant().ID)
 			}
-			if st.fp != st.labels.Fingerprint() {
-				t.Fatalf("default-tenant fingerprint %v != plain %v for %v", st.fp, st.labels.Fingerprint(), st.labels)
+			if st.FP != st.Labels.Fingerprint() {
+				t.Fatalf("default-tenant fingerprint %v != plain %v for %v", st.FP, st.Labels.Fingerprint(), st.Labels)
 			}
-			if got := s.shardFor(st.labels.Fingerprint()); got != sh {
-				t.Fatalf("stream %v striped off its plain-fingerprint shard", st.labels)
+			if got := s.idx.Stripe(st.Labels.Fingerprint()); got != i {
+				t.Fatalf("stream %v striped off its plain-fingerprint shard", st.Labels)
 			}
-		}
+			return nil
+		})
 	}
 	if seen != 32 {
 		t.Fatalf("streams = %d", seen)
@@ -258,11 +259,9 @@ func TestDurableTenantRoundTrip(t *testing.T) {
 		}
 	}
 	// Recovered streams keep their tenant-namespaced fingerprints.
-	for _, sh := range s2.shards {
-		for _, st := range sh.ordered {
-			if want := tenant.Fingerprint(st.tenant, st.labels); st.fp != want {
-				t.Fatalf("recovered stream tenant %q fp %v, want %v", st.tenant, st.fp, want)
-			}
+	for _, st := range s2.idx.All() {
+		if want := tenant.Fingerprint(st.Tenant().ID, st.Labels); st.FP != want {
+			t.Fatalf("recovered stream tenant %q fp %v, want %v", st.Tenant().ID, st.FP, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -30,26 +31,16 @@ func (db *DB) Downsample(before int64, resolution time.Duration, kind AggKind) (
 		return 0, fmt.Errorf("tsdb: resolution must be positive")
 	}
 	res := resolution.Milliseconds()
-	var series []*series
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		series = append(series, sh.ordered...)
-		sh.mu.RUnlock()
-	}
-
 	eliminated := 0
-	for _, s := range series {
-		s.mu.Lock()
-		// Find the prefix of samples older than the boundary.
-		n := 0
-		for n < len(s.data) && s.data[n].T < before {
-			n++
-		}
+	for _, s := range db.idx.All() {
+		s.Lock()
+		// The prefix of samples older than the boundary.
+		n := sort.Search(len(s.Data), func(i int) bool { return s.Data[i].T >= before })
 		if n < 2 {
-			s.mu.Unlock()
+			s.Unlock()
 			continue
 		}
-		old := s.data[:n]
+		old := s.Data[:n]
 		agg := make([]Sample, 0, n/4+1)
 		i := 0
 		for i < n {
@@ -85,12 +76,12 @@ func (db *DB) Downsample(before int64, resolution time.Duration, kind AggKind) (
 		}
 		if len(agg) < n {
 			eliminated += n - len(agg)
-			newData := make([]Sample, 0, len(agg)+len(s.data)-n)
+			newData := make([]Sample, 0, len(agg)+len(s.Data)-n)
 			newData = append(newData, agg...)
-			newData = append(newData, s.data[n:]...)
-			s.data = newData
+			newData = append(newData, s.Data[n:]...)
+			s.Data = newData
 		}
-		s.mu.Unlock()
+		s.Unlock()
 	}
 	return eliminated, nil
 }

@@ -12,12 +12,12 @@ package tsdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
-	"shastamon/internal/labels"
 	"shastamon/internal/resilience"
-	"shastamon/internal/tenant"
+	"shastamon/internal/series"
 	"shastamon/internal/wal"
 )
 
@@ -26,9 +26,8 @@ type RecoveryInfo = wal.RecoveryInfo
 
 // ckptSeries is one checkpoint row.
 type ckptSeries struct {
-	Labels  [][2]string `json:"labels"`
-	Tenant  string      `json:"tenant,omitempty"` // empty = default tenant
-	Samples []byte      `json:"samples"`          // binary sample codec, base64 via JSON
+	series.Row
+	Samples []byte `json:"samples"` // binary sample codec, base64 via JSON
 }
 
 type ckptFile struct {
@@ -46,7 +45,7 @@ func (db *DB) EnableDurability(dir string, opt wal.StoreOptions) (RecoveryInfo, 
 	var ck ckptFile
 	d, info, err := wal.OpenDurable(dir, wal.Store{
 		Name:       "wal:metrics",
-		Shards:     len(db.shards),
+		Shards:     db.idx.Stripes(),
 		Checkpoint: &ck,
 		Restore:    func() (int, error) { return db.restoreSeries(ck.Series) },
 		Replay:     db.replayRecord,
@@ -76,22 +75,12 @@ func (db *DB) WALBreaker() *resilience.Breaker {
 
 // --- record codec -----------------------------------------------------
 
-// walPrefixFor caches the encoded record header; called under s.mu.
-func (s *series) walPrefixFor() []byte {
-	if s.walPrefix == nil {
-		s.walPrefix = wal.AppendHeader(nil, wal.RecSample, s.tenant, s.labels)
-	}
-	return s.walPrefix
-}
-
 func appendSample(buf []byte, t int64, v float64) []byte {
-	buf = wal.AppendVarint(buf, t)
-	var bits [8]byte
-	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(v))
-	return append(buf, bits[:]...)
+	return binary.LittleEndian.AppendUint64(wal.AppendVarint(buf, t), math.Float64bits(v))
 }
 
-// replayRecord applies one WAL record through the normal append path.
+// replayRecord applies one WAL record through the normal append path. A
+// record whose label set no append could create is corrupt.
 func (db *DB) replayRecord(payload []byte) error {
 	tid, ls, rest, err := wal.ReadHeader(payload, wal.RecSample)
 	if err != nil {
@@ -103,23 +92,19 @@ func (db *DB) replayRecord(payload []byte) error {
 	}
 	// OOO vs the checkpointed head re-discovers the original drops;
 	// duplicate timestamps overwrite idempotently.
-	_ = db.AppendTenant(tid, ls, t, math.Float64frombits(binary.LittleEndian.Uint64(rest[:8])))
+	err = db.AppendTenant(tid, ls, t, math.Float64frombits(binary.LittleEndian.Uint64(rest[:8])))
+	if errors.Is(err, series.ErrInvalidLabels) {
+		return fmt.Errorf("tsdb: wal record: %w: %v", wal.ErrCorrupt, err)
+	}
 	return nil
 }
 
 func encodeSamples(data []Sample) []byte {
 	buf := wal.AppendUvarint(nil, uint64(len(data)))
-	var prev int64
-	for i, s := range data {
-		if i == 0 {
-			buf = wal.AppendVarint(buf, s.T)
-		} else {
-			buf = wal.AppendVarint(buf, s.T-prev)
-		}
+	var prev int64 // timestamps are delta-coded; the first against 0
+	for _, s := range data {
+		buf = appendSample(buf, s.T-prev, s.V)
 		prev = s.T
-		var bits [8]byte
-		binary.LittleEndian.PutUint64(bits[:], math.Float64bits(s.V))
-		buf = append(buf, bits[:]...)
 	}
 	return buf
 }
@@ -138,11 +123,7 @@ func decodeSamples(buf []byte) ([]Sample, error) {
 		if delta, buf, err = wal.ReadVarint(buf); err != nil || len(buf) < 8 {
 			return nil, fmt.Errorf("tsdb: checkpoint sample: %w", wal.ErrCorrupt)
 		}
-		if i == 0 {
-			t = delta
-		} else {
-			t += delta
-		}
+		t += delta
 		out = append(out, Sample{T: t, V: math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))})
 		buf = buf[8:]
 	}
@@ -152,48 +133,28 @@ func decodeSamples(buf []byte) ([]Sample, error) {
 // --- checkpoint -------------------------------------------------------
 
 // Checkpoint snapshots the head through the shared protocol (see
-// wal.Durable.Checkpoint): per shard, block series lookup, drain the
-// per-series mutexes (WAL appends happen under them), rotate the shard WAL
-// under those locks, snapshot every series, release.
+// wal.Durable.Checkpoint): per shard it freezes the stripe (series.Index
+// Freeze: series lookup blocked, the per-series mutexes drained — WAL
+// appends happen under them), rotates the shard WAL under those locks,
+// snapshots every series, and releases.
 func (db *DB) Checkpoint() error {
 	if db.dur == nil {
 		return nil
 	}
 	var ck ckptFile
 	_, err := db.dur.Checkpoint(&ck, func(i int, rotate func() error) error {
-		sh := db.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.ordered {
-			s.mu.Lock()
-		}
-		defer func() {
-			for _, s := range sh.ordered {
-				s.mu.Unlock()
-			}
-			sh.mu.Unlock()
-		}()
-		if err := rotate(); err != nil {
-			return err
-		}
-		for _, s := range sh.ordered {
-			cs := ckptSeries{Samples: encodeSamples(s.data)}
-			if s.tenant != "" && s.tenant != tenant.DefaultID {
-				cs.Tenant = s.tenant
-			}
-			for _, l := range s.labels {
-				cs.Labels = append(cs.Labels, [2]string{l.Name, l.Value})
-			}
-			ck.Series = append(ck.Series, cs)
-		}
-		return nil
+		return db.idx.Freeze(i, rotate, func(s *memSeries) error {
+			ck.Series = append(ck.Series, ckptSeries{Row: s.Row(), Samples: encodeSamples(s.Data)})
+			return nil
+		})
 	})
 	return err
 }
 
 // restoreSeries rebuilds the head from checkpoint rows; a row whose sample
-// blob does not decode is skipped (counted). Counters — head-wide and
-// per-tenant, as the append path credits both — are derived from the
-// restored state.
+// blob does not decode, or whose label set no append could create, is
+// skipped (counted). The per-tenant sample counters the head's totals sum
+// are derived from the restored state.
 func (db *DB) restoreSeries(rows []ckptSeries) (corrupt int, err error) {
 	for _, cs := range rows {
 		samples, err := decodeSamples(cs.Samples)
@@ -201,20 +162,18 @@ func (db *DB) restoreSeries(rows []ckptSeries) (corrupt int, err error) {
 			corrupt++
 			continue
 		}
-		ls := make(labels.Labels, 0, len(cs.Labels))
-		for _, pair := range cs.Labels {
-			ls = append(ls, labels.Label{Name: pair[0], Value: pair[1]})
+		s, _, err := db.idx.Restore(cs.Row)
+		if errors.Is(err, series.ErrInvalidLabels) {
+			corrupt++
+			continue
 		}
-		ts := db.tenantStateFor(cs.Tenant)
-		s, err := db.getOrCreate(ts, labels.New(ls...))
 		if err != nil {
 			return corrupt, fmt.Errorf("tsdb: checkpoint restore: %w", err)
 		}
-		s.mu.Lock()
-		s.data = samples
-		s.mu.Unlock()
-		db.appends.Add(int64(len(samples)))
-		ts.samples.Add(int64(len(samples)))
+		s.Lock()
+		s.Data = samples
+		s.Unlock()
+		s.Tenant().Data.samples.Add(int64(len(samples)))
 	}
 	return corrupt, nil
 }

@@ -3,7 +3,6 @@ package tsdb
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 
 	"shastamon/internal/promtext"
 	"shastamon/internal/tenant"
@@ -46,19 +45,8 @@ func (db *DB) Handler() http.Handler {
 		_ = json.NewEncoder(w).Encode(map[string]int{"accepted": accepted, "rejected": rejected})
 	})
 	mux.HandleFunc("/api/v1/labels", func(w http.ResponseWriter, r *http.Request) {
-		names := map[string]bool{}
-		for _, ls := range db.SeriesTenant(tenant.FromRequest(r), nil) {
-			for _, l := range ls {
-				names[l.Name] = true
-			}
-		}
-		out := make([]string, 0, len(names))
-		for n := range names {
-			out = append(out, n)
-		}
-		sort.Strings(out)
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]interface{}{"status": "success", "data": out})
+		_ = json.NewEncoder(w).Encode(map[string]interface{}{"status": "success", "data": db.idx.LabelNames(tenant.FromRequest(r))})
 	})
 	mux.HandleFunc("/api/v1/label_values", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("name")

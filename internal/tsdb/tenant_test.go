@@ -61,19 +61,20 @@ func TestTenantGoldenSingleTenantTSDB(t *testing.T) {
 		}
 	}
 	seen := 0
-	for _, sh := range db.shards {
-		for _, s := range sh.ordered {
+	for i := 0; i < db.Shards(); i++ {
+		_ = db.idx.Freeze(i, func() error { return nil }, func(s *memSeries) error {
 			seen++
-			if s.tenant != tenant.DefaultID {
-				t.Fatalf("default append landed in tenant %q", s.tenant)
+			if s.Tenant().ID != tenant.DefaultID {
+				t.Fatalf("default append landed in tenant %q", s.Tenant().ID)
 			}
-			if s.fp != s.labels.Fingerprint() {
-				t.Fatalf("default-tenant fp %v != plain %v", s.fp, s.labels.Fingerprint())
+			if s.FP != s.Labels.Fingerprint() {
+				t.Fatalf("default-tenant fp %v != plain %v", s.FP, s.Labels.Fingerprint())
 			}
-			if db.shardFor(s.labels.Fingerprint()) != sh {
-				t.Fatalf("series %v striped off its plain-fingerprint shard", s.labels)
+			if db.idx.Stripe(s.Labels.Fingerprint()) != i {
+				t.Fatalf("series %v striped off its plain-fingerprint shard", s.Labels)
 			}
-		}
+			return nil
+		})
 	}
 	if seen != 32 {
 		t.Fatalf("series = %d", seen)
@@ -170,11 +171,9 @@ func TestDurableTenantRoundTripTSDB(t *testing.T) {
 			}
 		}
 	}
-	for _, sh := range db2.shards {
-		for _, s := range sh.ordered {
-			if want := tenant.Fingerprint(s.tenant, s.labels); s.fp != want {
-				t.Fatalf("recovered series tenant %q fp %v, want %v", s.tenant, s.fp, want)
-			}
+	for _, s := range db2.idx.All() {
+		if want := tenant.Fingerprint(s.Tenant().ID, s.Labels); s.FP != want {
+			t.Fatalf("recovered series tenant %q fp %v, want %v", s.Tenant().ID, s.FP, want)
 		}
 	}
 }

@@ -3,10 +3,8 @@
 // It is the metrics half of the paper's dual pipeline ("as a rule, we send
 // metrics to VictoriaMetrics ... and logs to Loki").
 //
-// Like the log store, the head is sharded: series are striped over
-// lock-striped shards by label fingerprint (GOMAXPROCS shards by default)
-// and append statistics are atomics, so concurrent scrape targets append
-// without serialising on a DB-wide mutex.
+// Series live in a series.Index (striping, tenants, quotas, selection),
+// like the log store's streams: see internal/series.
 //
 // Timestamps are Unix milliseconds, the Prometheus convention (the log
 // store uses nanoseconds, the Loki convention).
@@ -24,6 +22,7 @@ import (
 	"shastamon/internal/labels"
 	"shastamon/internal/obs"
 	"shastamon/internal/parallel"
+	"shastamon/internal/series"
 	"shastamon/internal/stats"
 	"shastamon/internal/tenant"
 	"shastamon/internal/wal"
@@ -46,34 +45,24 @@ var ErrOutOfOrder = errors.New("tsdb: out-of-order sample")
 // exhausted.
 var ErrMaxSeries = errors.New("tsdb: per-tenant series limit exceeded")
 
-type series struct {
-	labels labels.Labels
-	fp     labels.Fingerprint
-	// tenant namespaces the series, as in the log store.
-	tenant string
-	mu     sync.Mutex
-	data   []Sample
-	// walPrefix caches the series' encoded WAL record prefix (type byte
-	// plus labels) for the durable append path.
-	walPrefix []byte
-}
+// ErrReservedLabel rejects appends carrying the internal __tenant__ label
+// the WAL uses to persist series ownership.
+var ErrReservedLabel = series.ErrReservedLabel
 
-// dbShard is one lock stripe of the head: its own series index.
-type dbShard struct {
-	mu      sync.RWMutex
-	series  map[labels.Fingerprint][]*series
-	ordered []*series
-}
+// memSeries is one label set of one tenant; Data holds its samples in
+// timestamp order, guarded by the series lock.
+type memSeries = series.Node[[]Sample, tenantData]
+
+// tenantData is the head's per-tenant append counter; Stats sums them.
+type tenantData struct{ samples atomic.Int64 }
 
 // DB is an in-memory TSDB safe for concurrent use.
 type DB struct {
 	obsOnce sync.Once
 	obsReg  *obs.Registry
 
-	shards []*dbShard
+	idx *series.Index[[]Sample, tenantData]
 
-	seriesCount   atomic.Int64
-	appends       atomic.Int64
 	dropped       atomic.Int64
 	queryInFlight atomic.Int64
 
@@ -81,21 +70,8 @@ type DB struct {
 	// memory-only DB. See durable.go.
 	dur *wal.Durable
 
-	// Tenant namespaces; defTenant is the lock-free default-tenant fast
-	// path, overrides resolve per-tenant series quotas.
+	// overrides resolve per-tenant series quotas.
 	overrides *tenant.Overrides
-	defTenant *tenantState
-	tmu       sync.RWMutex
-	tenants   map[string]*tenantState
-}
-
-// tenantState is one tenant's slice of the head: exact series accounting
-// against its quota plus append counters for the tenant metric families.
-type tenantState struct {
-	id        string
-	maxSeries int64
-	series    atomic.Int64
-	samples   atomic.Int64
 }
 
 // New returns an empty DB with GOMAXPROCS shards.
@@ -104,62 +80,21 @@ func New() *DB { return NewSharded(0) }
 // NewSharded returns an empty DB striped over n shards; n <= 0 takes
 // GOMAXPROCS.
 func NewSharded(n int) *DB {
-	n = parallel.Workers(n)
-	db := &DB{shards: make([]*dbShard, n)}
-	for i := range db.shards {
-		db.shards[i] = &dbShard{series: map[labels.Fingerprint][]*series{}}
-	}
-	db.tenants = map[string]*tenantState{}
-	db.defTenant = db.newTenantState(tenant.DefaultID)
-	db.tenants[tenant.DefaultID] = db.defTenant
+	db := &DB{}
+	quota := func(id string) int64 { return int64(db.overrides.For(id).MaxStreams) }
+	db.idx = series.New[[]Sample, tenantData](parallel.Workers(n), 0, ErrMaxSeries, quota, nil, nil)
 	return db
 }
 
 // SetTenantOverrides installs per-tenant series quotas. Call during
-// setup, before any tenant's first append: states already materialized
-// keep their limits.
-func (db *DB) SetTenantOverrides(o *tenant.Overrides) {
-	db.overrides = o
-	db.defTenant.maxSeries = int64(o.For(tenant.DefaultID).MaxStreams)
-}
-
-func (db *DB) newTenantState(id string) *tenantState {
-	lim := db.overrides.For(id)
-	return &tenantState{id: id, maxSeries: int64(lim.MaxStreams)}
-}
-
-func (db *DB) tenantStateFor(id string) *tenantState {
-	if id == "" || id == tenant.DefaultID {
-		return db.defTenant
-	}
-	db.tmu.RLock()
-	ts := db.tenants[id]
-	db.tmu.RUnlock()
-	if ts != nil {
-		return ts
-	}
-	db.tmu.Lock()
-	defer db.tmu.Unlock()
-	if ts = db.tenants[id]; ts == nil {
-		ts = db.newTenantState(id)
-		db.tenants[id] = ts
-	}
-	return ts
-}
+// setup, before any append: quotas are checked as series are created.
+func (db *DB) SetTenantOverrides(o *tenant.Overrides) { db.overrides = o }
 
 // Shards returns the number of lock stripes the DB runs.
-func (db *DB) Shards() int { return len(db.shards) }
+func (db *DB) Shards() int { return db.idx.Stripes() }
 
 // QueryParallelism reports the number of in-flight query workers.
 func (db *DB) QueryParallelism() int64 { return db.queryInFlight.Load() }
-
-func (db *DB) shardFor(fp labels.Fingerprint) *dbShard {
-	return db.shards[uint64(fp)%uint64(len(db.shards))]
-}
-
-func (db *DB) shardIndex(fp labels.Fingerprint) int {
-	return int(uint64(fp) % uint64(len(db.shards)))
-}
 
 // Append adds one sample to the series identified by ls. ls must include
 // the metric name under MetricNameLabel (use Labels.With).
@@ -173,29 +108,28 @@ func (db *DB) AppendTenant(id string, ls labels.Labels, t int64, v float64) erro
 	if ls.Get(MetricNameLabel) == "" {
 		return fmt.Errorf("tsdb: missing %s label in %s", MetricNameLabel, ls)
 	}
-	ts := db.tenantStateFor(id)
-	s, err := db.getOrCreate(ts, ls)
+	ts := db.idx.Tenant(id)
+	s, stripe, err := db.idx.GetOrCreate(ts, ls)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.data); n > 0 && t < s.data[n-1].T {
+	s.Lock()
+	defer s.Unlock()
+	if n := len(s.Data); n > 0 && t < s.Data[n-1].T {
 		db.dropped.Add(1)
 		return ErrOutOfOrder
 	}
-	if n := len(s.data); n > 0 && t == s.data[n-1].T {
-		s.data[n-1].V = v // overwrite duplicate timestamp, like VM
+	if n := len(s.Data); n > 0 && t == s.Data[n-1].T {
+		s.Data[n-1].V = v // overwrite duplicate timestamp, like VM
 	} else {
-		s.data = append(s.data, Sample{T: t, V: v})
+		s.Data = append(s.Data, Sample{T: t, V: v})
 	}
-	// durable: log the accepted sample while still under s.mu, the
-	// checkpoint's drain lock.
+	// durable: log the accepted sample while still under the series lock,
+	// the checkpoint's drain lock.
 	if db.dur != nil && db.dur.Armed() {
-		db.dur.Append(db.shardIndex(s.fp), appendSample(s.walPrefixFor(), t, v))
+		db.dur.Append(stripe, appendSample(s.WALHeader(wal.RecSample), t, v))
 	}
-	db.appends.Add(1)
-	ts.samples.Add(1)
+	ts.Data.samples.Add(1)
 	return nil
 }
 
@@ -208,61 +142,6 @@ func (db *DB) AppendMetric(name string, extra labels.Labels, t int64, v float64)
 // AppendMetricTenant is AppendMetric into one tenant's namespace.
 func (db *DB) AppendMetricTenant(id, name string, extra labels.Labels, t int64, v float64) error {
 	return db.AppendTenant(id, extra.With(MetricNameLabel, name), t, v)
-}
-
-func (db *DB) getOrCreate(ts *tenantState, ls labels.Labels) (*series, error) {
-	fp := tenant.Fingerprint(ts.id, ls)
-	sh := db.shardFor(fp)
-	sh.mu.RLock()
-	for _, s := range sh.series[fp] {
-		if s.tenant == ts.id && s.labels.Equal(ls) {
-			sh.mu.RUnlock()
-			return s, nil
-		}
-	}
-	sh.mu.RUnlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, s := range sh.series[fp] {
-		if s.tenant == ts.id && s.labels.Equal(ls) {
-			return s, nil
-		}
-	}
-	// Reserve-then-rollback: the atomic add keeps the tenant quota exact
-	// under concurrent creators across shards.
-	if n := ts.series.Add(1); ts.maxSeries > 0 && n > ts.maxSeries {
-		ts.series.Add(-1)
-		return nil, fmt.Errorf("%w (tenant %s)", ErrMaxSeries, ts.id)
-	}
-	s := &series{labels: ls.Copy(), fp: fp, tenant: ts.id}
-	sh.series[fp] = append(sh.series[fp], s)
-	sh.ordered = append(sh.ordered, s)
-	db.seriesCount.Add(1)
-	return s, nil
-}
-
-// candidates returns every series of one tenant matching all matchers,
-// across shards, plus the number of shards that held at least one match.
-func (db *DB) candidates(tid string, sel []*labels.Matcher) ([]*series, int) {
-	var cand []*series
-	touched := 0
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		n := len(cand)
-		for _, s := range sh.ordered {
-			if s.tenant != tid {
-				continue
-			}
-			if labels.MatchLabels(s.labels, sel) {
-				cand = append(cand, s)
-			}
-		}
-		sh.mu.RUnlock()
-		if len(cand) > n {
-			touched++
-		}
-	}
-	return cand, touched
 }
 
 // sampleCost is the nominal scanned-byte cost of one (int64, float64)
@@ -291,43 +170,32 @@ func (db *DB) Select(sel []*labels.Matcher, mint, maxt int64) []SeriesData {
 func (db *DB) SelectContext(ctx context.Context, sel []*labels.Matcher, mint, maxt int64) ([]SeriesData, error) {
 	sc := stats.FromContext(ctx)
 	started := time.Now()
-	cand, touched := db.candidates(tenant.ID(ctx), sel)
+	cand := db.idx.Select(db.idx.Peek(tenant.ID(ctx)), sel)
+	touched := db.idx.Touched(cand)
 	sc.AddShardsTouched(int64(touched))
 	sc.AddStreams(int64(len(cand)))
-	results := make([][]Sample, len(cand))
-	parallel.Do(len(cand), parallel.Workers(0), &db.queryInFlight, func(i int) {
+	out := db.collect(cand, func(data []Sample) []Sample {
 		if ctx.Err() != nil {
-			return
+			return nil
 		}
-		s := cand[i]
-		s.mu.Lock()
-		lo := sort.Search(len(s.data), func(j int) bool { return s.data[j].T >= mint })
-		hi := sort.Search(len(s.data), func(j int) bool { return s.data[j].T > maxt })
-		if lo < hi {
-			samples := make([]Sample, hi-lo)
-			copy(samples, s.data[lo:hi])
-			results[i] = samples
+		lo := sort.Search(len(data), func(j int) bool { return data[j].T >= mint })
+		hi := sort.Search(len(data), func(j int) bool { return data[j].T > maxt })
+		if lo >= hi {
+			return nil
 		}
-		s.mu.Unlock()
-		if n := len(results[i]); n > 0 {
-			var w stats.Worker
-			w.LinesProcessed = int64(n)
-			w.BytesProcessed = int64(n) * sampleCost
-			w.FlushTo(sc)
-		}
+		var w stats.Worker
+		w.LinesProcessed = int64(hi - lo)
+		w.BytesProcessed = int64(hi-lo) * sampleCost
+		w.FlushTo(sc)
+		samples := make([]Sample, hi-lo)
+		copy(samples, data[lo:hi])
+		return samples
 	})
 	sc.AddSpan("tsdb.select", started, time.Now(),
 		fmt.Sprintf("%d series over %d shards", len(cand), touched))
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
-	out := make([]SeriesData, 0, len(cand))
-	for i, s := range cand {
-		if len(results[i]) > 0 {
-			out = append(out, SeriesData{Labels: s.labels, Samples: results[i]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Labels.String() < out[j].Labels.String() })
 	return out, nil
 }
 
@@ -341,21 +209,29 @@ func (db *DB) LatestBefore(sel []*labels.Matcher, ts, lookbackMS int64) []Series
 // LatestBeforeContext is LatestBefore within the context's tenant
 // namespace — the PromQL instant path.
 func (db *DB) LatestBeforeContext(ctx context.Context, sel []*labels.Matcher, ts, lookbackMS int64) []SeriesData {
-	cand, _ := db.candidates(tenant.ID(ctx), sel)
+	return db.collect(db.idx.Select(db.idx.Peek(tenant.ID(ctx)), sel), func(data []Sample) []Sample {
+		hi := sort.Search(len(data), func(j int) bool { return data[j].T > ts })
+		if hi > 0 && data[hi-1].T >= ts-lookbackMS {
+			return []Sample{data[hi-1]}
+		}
+		return nil
+	})
+}
+
+// collect runs pick over every candidate's samples, under its lock, on the
+// worker pool, and returns the non-empty picks ordered by label string.
+// pick must copy what it returns.
+func (db *DB) collect(cand []*memSeries, pick func([]Sample) []Sample) []SeriesData {
 	results := make([][]Sample, len(cand))
 	parallel.Do(len(cand), parallel.Workers(0), &db.queryInFlight, func(i int) {
-		s := cand[i]
-		s.mu.Lock()
-		hi := sort.Search(len(s.data), func(j int) bool { return s.data[j].T > ts })
-		if hi > 0 && s.data[hi-1].T >= ts-lookbackMS {
-			results[i] = []Sample{s.data[hi-1]}
-		}
-		s.mu.Unlock()
+		cand[i].Lock()
+		results[i] = pick(cand[i].Data)
+		cand[i].Unlock()
 	})
 	out := make([]SeriesData, 0, len(cand))
 	for i, s := range cand {
 		if len(results[i]) > 0 {
-			out = append(out, SeriesData{Labels: s.labels, Samples: results[i]})
+			out = append(out, SeriesData{Labels: s.Labels, Samples: results[i]})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Labels.String() < out[j].Labels.String() })
@@ -369,13 +245,7 @@ func (db *DB) Series(sel []*labels.Matcher) []labels.Labels {
 
 // SeriesTenant is Series within one tenant's namespace.
 func (db *DB) SeriesTenant(id string, sel []*labels.Matcher) []labels.Labels {
-	var out []labels.Labels
-	cand, _ := db.candidates(id, sel)
-	for _, s := range cand {
-		out = append(out, s.labels)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return db.idx.Series(id, sel)
 }
 
 // LabelValues returns distinct values of a label across the default
@@ -386,63 +256,21 @@ func (db *DB) LabelValues(name string) []string {
 
 // LabelValuesTenant is LabelValues within one tenant's namespace.
 func (db *DB) LabelValuesTenant(id, name string) []string {
-	set := map[string]bool{}
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		for _, s := range sh.ordered {
-			if s.tenant != id {
-				continue
-			}
-			if v := s.labels.Get(name); v != "" {
-				set[v] = true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	return db.idx.LabelValues(id, name)
 }
 
 // DeleteBefore drops samples older than ts (ms) and removes series that
 // become empty. It returns the number of samples dropped.
 func (db *DB) DeleteBefore(ts int64) int {
 	dropped := 0
-	for _, sh := range db.shards {
-		sh.mu.Lock()
-		kept := sh.ordered[:0]
-		for _, s := range sh.ordered {
-			s.mu.Lock()
-			lo := sort.Search(len(s.data), func(i int) bool { return s.data[i].T >= ts })
-			dropped += lo
-			if lo > 0 {
-				s.data = append([]Sample(nil), s.data[lo:]...)
-			}
-			empty := len(s.data) == 0
-			s.mu.Unlock()
-			if empty {
-				list := sh.series[s.fp]
-				for i, other := range list {
-					if other == s {
-						sh.series[s.fp] = append(list[:i], list[i+1:]...)
-						break
-					}
-				}
-				if len(sh.series[s.fp]) == 0 {
-					delete(sh.series, s.fp)
-				}
-				db.seriesCount.Add(-1)
-				db.tenantStateFor(s.tenant).series.Add(-1)
-				continue
-			}
-			kept = append(kept, s)
+	db.idx.Sweep(func(s *memSeries) bool {
+		lo := sort.Search(len(s.Data), func(i int) bool { return s.Data[i].T >= ts })
+		dropped += lo
+		if lo > 0 {
+			s.Data = append([]Sample(nil), s.Data[lo:]...)
 		}
-		sh.ordered = kept
-		sh.mu.Unlock()
-	}
+		return len(s.Data) == 0
+	})
 	return dropped
 }
 
@@ -455,11 +283,11 @@ type Stats struct {
 
 // Stats returns a snapshot of DB counters.
 func (db *DB) Stats() Stats {
-	return Stats{
-		Series:  int(db.seriesCount.Load()),
-		Samples: db.appends.Load(),
-		Dropped: db.dropped.Load(),
+	st := Stats{Series: int(db.idx.Live()), Dropped: db.dropped.Load()}
+	for _, ts := range db.idx.Tenants() {
+		st.Samples += ts.Data.samples.Load()
 	}
+	return st
 }
 
 // TenantStat is one tenant's slice of the head accounting.
@@ -471,12 +299,9 @@ type TenantStat struct {
 
 // TenantStats snapshots per-tenant counters, sorted by tenant ID.
 func (db *DB) TenantStats() []TenantStat {
-	db.tmu.RLock()
-	out := make([]TenantStat, 0, len(db.tenants))
-	for _, ts := range db.tenants {
-		out = append(out, TenantStat{Tenant: ts.id, Series: ts.series.Load(), Samples: ts.samples.Load()})
+	var out []TenantStat
+	for _, ts := range db.idx.Tenants() {
+		out = append(out, TenantStat{Tenant: ts.ID, Series: ts.Live(), Samples: ts.Data.samples.Load()})
 	}
-	db.tmu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }

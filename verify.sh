@@ -51,7 +51,19 @@ done
 # cache, and the single-tenant golden-equality pins — all under the race
 # detector. (The noisy-neighbor e2e also rides the Chaos soak above.)
 go test -race -run 'TestTenant|TestDurableTenant|TestRateLimiter' -count=1 \
-  ./internal/tenant/ ./internal/loki/ ./internal/tsdb/ ./internal/frontend/
+  ./internal/tenant/ ./internal/series/ ./internal/loki/ ./internal/tsdb/ ./internal/frontend/
+
+# Series-registry soak: the one label index under both stores (stripes,
+# get-or-create under quotas, selection, retention unlink, checkpoint
+# freeze) and the store suites that lean on it hardest — concurrent
+# pushers into shared stripes, exact caps, striping balance and the
+# differential oracle against a naive model — repeated and shuffled on
+# one, two and eight cores.
+for procs in 1 2 8; do
+  GOMAXPROCS=$procs go test -race -count=3 -shuffle=on ./internal/series/
+  GOMAXPROCS=$procs go test -race -count=3 -shuffle=on \
+    -run 'TestTenant|TestConcurrent|TestMaxStreams|TestSharded|TestDifferential' ./internal/loki/ ./internal/tsdb/
+done
 
 # Frontend golden-equality + concurrent-refresh soak: split/cached range
 # results must be bit-identical to the monolithic evaluation, including
