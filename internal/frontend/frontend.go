@@ -25,6 +25,10 @@
 // Matrix is the one range-result type: both engines alias it, so results
 // cross the frontend without conversion.
 //
+// Above their leaves both engines evaluate one vector algebra, defined
+// here (algebra.go): the per-step range loop, aggregation, the scalar
+// operator table, absent and the min/max NaN rule.
+//
 // Admission is load-shed, not buffered without bound: each engine gets
 // a bounded queue in front of a concurrency limit, and a query arriving
 // to a full queue fails fast with stats.ErrQueueFull — the 429 path —
@@ -546,30 +550,14 @@ func (f *Frontend) evalSplit(ctx context.Context, req *Request, sp span) (Matrix
 // cached input matrices are shared between queries, and this copy is
 // the one guarantee that a returned matrix never aliases them.
 func mergeSplits(parts []Matrix) Matrix {
-	bySeries := map[string]*Series{}
-	var order []string
-	total := 0
-	for _, m := range parts {
-		total += len(m)
-	}
+	var ss seriesSet
 	for _, m := range parts {
 		for _, s := range m {
-			key := s.Labels.String()
-			sr, ok := bySeries[key]
-			if !ok {
-				sr = &Series{Labels: s.Labels}
-				bySeries[key] = sr
-				order = append(order, key)
-			}
+			sr := ss.get(s.Labels)
 			sr.Points = append(sr.Points, s.Points...)
 		}
 	}
-	sort.Strings(order)
-	out := make(Matrix, 0, len(order))
-	for _, key := range order {
-		out = append(out, *bySeries[key])
-	}
-	return out
+	return ss.matrix()
 }
 
 // mergeShards merges per-shard partial matrices pointwise. Shards
@@ -605,13 +593,9 @@ func mergeShards(op string, parts []Matrix) (Matrix, error) {
 				case "sum":
 					acc.byT[p.T] = v + p.V
 				case "min":
-					if p.V < v {
-						acc.byT[p.T] = p.V
-					}
+					acc.byT[p.T] = Min(v, p.V)
 				case "max":
-					if p.V > v {
-						acc.byT[p.T] = p.V
-					}
+					acc.byT[p.T] = Max(v, p.V)
 				default:
 					return nil, fmt.Errorf("frontend: unsupported shard merge op %q", op)
 				}

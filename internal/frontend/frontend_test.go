@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -394,6 +395,25 @@ func TestMergeShards(t *testing.T) {
 	}
 	if _, err := mergeShards("avg", parts); err == nil {
 		t.Fatal("unsupported merge op accepted")
+	}
+}
+
+// A NaN partial never wins a min/max shard merge over a number, in
+// either shard order.
+func TestMergeShardsNaN(t *testing.T) {
+	l := labels.FromStrings("app", "x")
+	nan := Matrix{{Labels: l, Points: []Point{{T: 10, V: math.NaN()}}}}
+	num := Matrix{{Labels: l, Points: []Point{{T: 10, V: 5}}}}
+	for _, op := range []string{"min", "max"} {
+		for _, parts := range [][]Matrix{{nan, num}, {num, nan}} {
+			m, err := mergeShards(op, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := m[0].Points[0].V; v != 5 {
+				t.Errorf("%s merge of NaN and 5 = %v, want 5", op, v)
+			}
+		}
 	}
 }
 

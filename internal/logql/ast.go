@@ -119,24 +119,6 @@ const (
 	CmpNE  CmpOp = "!="
 )
 
-func (o CmpOp) apply(a, b float64) bool {
-	switch o {
-	case CmpGT:
-		return a > b
-	case CmpGTE:
-		return a >= b
-	case CmpLT:
-		return a < b
-	case CmpLTE:
-		return a <= b
-	case CmpEQ:
-		return a == b
-	case CmpNE:
-		return a != b
-	}
-	return false
-}
-
 // CmpExpr filters the samples of Inner by comparison against a scalar,
 // following PromQL filter semantics (non-matching samples drop out). This
 // is the shape of every alerting rule expression in the paper.

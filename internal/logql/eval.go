@@ -3,15 +3,14 @@ package logql
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 	"shastamon/internal/loki"
-	"shastamon/internal/parallel"
 	"shastamon/internal/stats"
 )
 
@@ -46,35 +45,12 @@ type ResultStream struct {
 // the per-entry key rendering nor single-goroutine evaluation caps the
 // paper's query figures.
 type Engine struct {
-	q        Querier
-	workers  int
-	inFlight atomic.Int64
-	tracker  *stats.Tracker
-	frontend *frontend.Frontend
+	frontend.Base
+	q Querier
 }
 
 // NewEngine returns an engine reading from q with GOMAXPROCS workers.
-func NewEngine(q Querier) *Engine { return &Engine{q: q, workers: parallel.Workers(0)} }
-
-// SetParallelism bounds the stream fan-out worker pool; n <= 1 evaluates
-// sequentially. Call during setup, not concurrently with queries.
-func (e *Engine) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// QueryParallelism reports the number of in-flight pipeline workers; the
-// warehouse exposes it as a gauge.
-func (e *Engine) QueryParallelism() int64 { return e.inFlight.Load() }
-
-// SetTracker attaches the active-query tracker the HTTP handler registers
-// queries with. Call during setup, not concurrently with queries.
-func (e *Engine) SetTracker(t *stats.Tracker) { e.tracker = t }
-
-// Tracker returns the attached active-query tracker, nil when unset.
-func (e *Engine) Tracker() *stats.Tracker { return e.tracker }
+func NewEngine(q Querier) *Engine { return &Engine{q: q} }
 
 // checkEvery is how many pipeline entries a worker processes between
 // context checks, so kills cancel a query mid-stream promptly.
@@ -150,7 +126,7 @@ func (e *Engine) SelectLogsContext(ctx context.Context, expr *LogExpr, start, en
 	}
 	pipeStart := time.Now()
 	perStream := make([][]*ResultStream, len(streams))
-	parallel.Do(len(streams), e.workers, &e.inFlight, func(i int) {
+	e.Parallel(len(streams), func(i int) {
 		perStream[i] = processLogStream(ctx, expr.Stages, streams[i])
 	})
 	if ctx.Err() != nil {
@@ -190,19 +166,17 @@ func (e *Engine) InstantContext(ctx context.Context, expr Expr, ts int64) (Vecto
 	case *RangeAggExpr:
 		return e.evalRangeAgg(ctx, ex, ts)
 	case *VectorAggExpr:
-		return e.evalVectorAgg(ctx, ex, ts)
+		inner, err := e.InstantContext(ctx, ex.Inner, ts)
+		if err != nil {
+			return nil, err
+		}
+		return frontend.Aggregate(ex.Op, ex.Param, inner, ts, frontend.Grouping(ex.Grouping, ex.Without))
 	case *CmpExpr:
 		inner, err := e.InstantContext(ctx, ex.Inner, ts)
 		if err != nil {
 			return nil, err
 		}
-		out := inner[:0]
-		for _, s := range inner {
-			if ex.Op.apply(s.V, ex.Threshold) {
-				out = append(out, s)
-			}
-		}
-		return out, nil
+		return frontend.ScalarOp(string(ex.Op), inner, ex.Threshold, false, nil)
 	case *LogExpr:
 		return nil, fmt.Errorf("logql: %q is a log query; use SelectLogs", ex)
 	default:
@@ -225,43 +199,15 @@ func (e *Engine) RangeContext(ctx context.Context, expr Expr, start, end int64, 
 	if step <= 0 {
 		return nil, fmt.Errorf("logql: step must be positive")
 	}
-	if me, ok := expr.(MetricExpr); ok && e.frontend != nil {
+	if me, ok := expr.(MetricExpr); ok && e.Frontend() != nil {
 		return e.rangeViaFrontend(ctx, me, start, end, step)
 	}
 	sc := stats.FromContext(ctx)
 	sc.MarkExec()
 	sc.AddSplit()
-	return e.rangeDirect(ctx, expr, start, end, step)
-}
-
-// rangeDirect is the monolithic range evaluation: one instant
-// evaluation per step over the whole window. The frontend calls it per
-// split; split results concatenate to exactly this loop's output.
-func (e *Engine) rangeDirect(ctx context.Context, expr Expr, start, end int64, step time.Duration) (Matrix, error) {
-	seriesByKey := map[string]*Series{}
-	var order []string
-	for ts := start; ts <= end; ts += int64(step) {
-		vec, err := e.InstantContext(ctx, expr, ts)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range vec {
-			key := s.Labels.String()
-			sr, ok := seriesByKey[key]
-			if !ok {
-				sr = &Series{Labels: s.Labels}
-				seriesByKey[key] = sr
-				order = append(order, key)
-			}
-			sr.Points = append(sr.Points, Point{T: ts, V: s.V})
-		}
-	}
-	sort.Strings(order)
-	m := make(Matrix, 0, len(order))
-	for _, key := range order {
-		m = append(m, *seriesByKey[key])
-	}
-	return m, nil
+	return frontend.Range(ctx, start, end, int64(step), func(ctx context.Context, ts int64) (Vector, error) {
+		return e.InstantContext(ctx, expr, ts)
+	})
 }
 
 // rangeAcc accumulates one output group of a range aggregation.
@@ -290,7 +236,7 @@ func (as *rangeAccSet) get(fp labels.Fingerprint, lbls labels.Labels) *rangeAcc 
 			return g
 		}
 	}
-	g := &rangeAcc{labels: lbls}
+	g := &rangeAcc{labels: lbls, min: math.NaN(), max: math.NaN()}
 	as.byFP[fp] = append(as.byFP[fp], g)
 	as.order = append(as.order, g)
 	return g
@@ -335,12 +281,8 @@ func accumulateRangeStream(ctx context.Context, ex *RangeAggExpr, s loki.Selecte
 		g.count++
 		g.bytes += float64(len(line))
 		if hasVal {
-			if g.vals == 0 || val < g.min {
-				g.min = val
-			}
-			if g.vals == 0 || val > g.max {
-				g.max = val
-			}
+			g.min = frontend.Min(g.min, val)
+			g.max = frontend.Max(g.max, val)
 			g.sum += val
 			g.vals++
 		}
@@ -352,16 +294,10 @@ func accumulateRangeStream(ctx context.Context, ex *RangeAggExpr, s loki.Selecte
 func (g *rangeAcc) merge(other *rangeAcc) {
 	g.count += other.count
 	g.bytes += other.bytes
-	if other.vals > 0 {
-		if g.vals == 0 || other.min < g.min {
-			g.min = other.min
-		}
-		if g.vals == 0 || other.max > g.max {
-			g.max = other.max
-		}
-		g.sum += other.sum
-		g.vals += other.vals
-	}
+	g.min = frontend.Min(g.min, other.min)
+	g.max = frontend.Max(g.max, other.max)
+	g.sum += other.sum
+	g.vals += other.vals
 }
 
 func (e *Engine) evalRangeAgg(ctx context.Context, ex *RangeAggExpr, ts int64) (Vector, error) {
@@ -374,7 +310,7 @@ func (e *Engine) evalRangeAgg(ctx context.Context, ex *RangeAggExpr, ts int64) (
 	accStart := time.Now()
 	perStream := make([][]*rangeAcc, len(streams))
 	counts := make([]int, len(streams))
-	parallel.Do(len(streams), e.workers, &e.inFlight, func(i int) {
+	e.Parallel(len(streams), func(i int) {
 		perStream[i], counts[i] = accumulateRangeStream(ctx, ex, streams[i])
 	})
 	if ctx.Err() != nil {
@@ -395,14 +331,7 @@ func (e *Engine) evalRangeAgg(ctx context.Context, ex *RangeAggExpr, ts int64) (
 		if total > 0 {
 			return nil, nil
 		}
-		// Absent vector carries the equality matchers as labels, like PromQL.
-		b := labels.NewBuilder(nil)
-		for _, m := range ex.Log.Selector {
-			if m.Type == labels.MatchEqual {
-				b.Set(m.Name, m.Value)
-			}
-		}
-		return Vector{{Labels: b.Labels(), T: ts, V: 1}}, nil
+		return frontend.Absent(ex.Log.Selector, ts), nil
 	}
 	secs := ex.Interval.Seconds()
 	groups := merged.order
@@ -445,104 +374,6 @@ func (e *Engine) evalRangeAgg(ctx context.Context, ex *RangeAggExpr, ts int64) (
 		out = append(out, Sample{Labels: g.labels, T: ts, V: v})
 	}
 	return out, nil
-}
-
-func (e *Engine) evalVectorAgg(ctx context.Context, ex *VectorAggExpr, ts int64) (Vector, error) {
-	inner, err := e.InstantContext(ctx, ex.Inner, ts)
-	if err != nil {
-		return nil, err
-	}
-	groupLabels := func(ls labels.Labels) labels.Labels {
-		if ex.Without {
-			return ls.Without(ex.Grouping...)
-		}
-		if len(ex.Grouping) == 0 {
-			return nil
-		}
-		return ls.Keep(ex.Grouping...)
-	}
-	if ex.Op == "topk" || ex.Op == "bottomk" {
-		return evalTopK(ex, inner, groupLabels), nil
-	}
-	type acc struct {
-		labels labels.Labels
-		sum    float64
-		min    float64
-		max    float64
-		count  float64
-	}
-	groups := map[string]*acc{}
-	var order []string
-	for _, s := range inner {
-		gl := groupLabels(s.Labels)
-		key := gl.String()
-		g, ok := groups[key]
-		if !ok {
-			g = &acc{labels: gl, min: s.V, max: s.V}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.sum += s.V
-		g.count++
-		if s.V < g.min {
-			g.min = s.V
-		}
-		if s.V > g.max {
-			g.max = s.V
-		}
-	}
-	sort.Strings(order)
-	out := make(Vector, 0, len(groups))
-	for _, key := range order {
-		g := groups[key]
-		var v float64
-		switch ex.Op {
-		case "sum":
-			v = g.sum
-		case "min":
-			v = g.min
-		case "max":
-			v = g.max
-		case "avg":
-			v = g.sum / g.count
-		case "count":
-			v = g.count
-		default:
-			return nil, fmt.Errorf("logql: unsupported aggregation %q", ex.Op)
-		}
-		out = append(out, Sample{Labels: g.labels, T: ts, V: v})
-	}
-	return out, nil
-}
-
-func evalTopK(ex *VectorAggExpr, inner Vector, groupLabels func(labels.Labels) labels.Labels) Vector {
-	// Samples keep their original labels; k applies per group.
-	groups := map[string][]Sample{}
-	var order []string
-	for _, s := range inner {
-		key := groupLabels(s.Labels).String()
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], s)
-	}
-	sort.Strings(order)
-	var out Vector
-	for _, key := range order {
-		ss := groups[key]
-		sort.SliceStable(ss, func(i, j int) bool {
-			if ex.Op == "topk" {
-				return ss[i].V > ss[j].V
-			}
-			return ss[i].V < ss[j].V
-		})
-		k := ex.Param
-		if k > len(ss) {
-			k = len(ss)
-		}
-		out = append(out, ss[:k]...)
-	}
-	return out
 }
 
 // QueryLogs parses and runs a log query.
@@ -593,10 +424,6 @@ func (e *Engine) QueryRangeContext(ctx context.Context, q string, start, end int
 	if err != nil {
 		return nil, err
 	}
-	points := 0
-	for _, s := range m {
-		points += len(s.Points)
-	}
-	stats.FromContext(ctx).AddEntriesReturned(int64(points))
+	stats.FromContext(ctx).AddEntriesReturned(int64(m.NumPoints()))
 	return m, nil
 }

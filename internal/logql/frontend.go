@@ -10,14 +10,6 @@ import (
 	"shastamon/internal/loki"
 )
 
-// SetFrontend routes range queries through a query frontend (splitting,
-// shard fan-out, results caching, admission control). Call during
-// setup, not concurrently with queries.
-func (e *Engine) SetFrontend(f *frontend.Frontend) { e.frontend = f }
-
-// Frontend returns the attached query frontend, nil when unset.
-func (e *Engine) Frontend() *frontend.Frontend { return e.frontend }
-
 // maxLookback is the furthest any sub-evaluation of expr reads before
 // its step timestamp: the widest range-aggregation interval in the tree.
 func maxLookback(expr MetricExpr) time.Duration {
@@ -115,7 +107,7 @@ func withShardSelector(expr MetricExpr, shard, of int) MetricExpr {
 // the store is sharded, the frontend allows it and the expression
 // merges exactly.
 func (e *Engine) shardPlan(expr MetricExpr) (int, string) {
-	if e.frontend == nil || !e.frontend.ShardFanout() {
+	if e.Frontend() == nil || !e.Frontend().ShardFanout() {
 		return 1, ""
 	}
 	sh, ok := e.q.(interface{ Shards() int })
@@ -131,11 +123,11 @@ func (e *Engine) shardPlan(expr MetricExpr) (int, string) {
 
 // rangeViaFrontend hands the range query to the frontend: it splits,
 // consults the results cache, fans shardable expressions across store
-// shards, and calls back into rangeDirect for whatever must actually
-// evaluate.
+// shards, and evaluates whatever must actually evaluate with
+// frontend.Range.
 func (e *Engine) rangeViaFrontend(ctx context.Context, expr MetricExpr, start, end int64, step time.Duration) (Matrix, error) {
 	shards, mergeOp := e.shardPlan(expr)
-	return e.frontend.QueryRange(ctx, frontend.Request{
+	return e.Frontend().QueryRange(ctx, frontend.Request{
 		Engine:   "logql",
 		Query:    expr.String(),
 		Start:    start,
@@ -150,7 +142,9 @@ func (e *Engine) rangeViaFrontend(ctx context.Context, expr MetricExpr, start, e
 			if shard >= 0 {
 				ex = withShardSelector(expr, shard, shards)
 			}
-			return e.rangeDirect(ctx, ex, s, en, step)
+			return frontend.Range(ctx, s, en, int64(step), func(ctx context.Context, ts int64) (Vector, error) {
+				return e.InstantContext(ctx, ex, ts)
+			})
 		},
 	})
 }

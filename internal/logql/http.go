@@ -41,7 +41,7 @@ func (e *Engine) Handler() http.Handler {
 			writeLogQLError(w, http.StatusBadRequest, fmt.Errorf("instant queries require a metric expression"))
 			return
 		}
-		ctx, finish := e.tracker.Start(r.Context(), "logql", q)
+		ctx, finish := e.Tracker().Start(r.Context(), "logql", q)
 		vec, err := e.InstantContext(ctx, me, ts)
 		stats.FromContext(ctx).AddEntriesReturned(int64(len(vec)))
 		snap := finish(err)
@@ -78,7 +78,7 @@ func (e *Engine) Handler() http.Handler {
 		}
 		switch ex := expr.(type) {
 		case *LogExpr:
-			ctx, finish := e.tracker.Start(r.Context(), "logql", q)
+			ctx, finish := e.Tracker().Start(r.Context(), "logql", q)
 			streams, err := e.SelectLogsContext(ctx, ex, start, end)
 			snap := finish(err)
 			if err != nil {
@@ -108,16 +108,12 @@ func (e *Engine) Handler() http.Handler {
 				writeLogQLError(w, http.StatusBadRequest, fmt.Errorf("bad step %q", stepS))
 				return
 			}
-			ctx, finish := e.tracker.Start(r.Context(), "logql", q)
+			ctx, finish := e.Tracker().Start(r.Context(), "logql", q)
 			if v := r.URL.Query().Get("nocache"); v == "1" || v == "true" {
 				ctx = frontend.WithoutCache(ctx)
 			}
 			m, err := e.RangeContext(ctx, ex, start, end, step)
-			points := 0
-			for _, s := range m {
-				points += len(s.Points)
-			}
-			stats.FromContext(ctx).AddEntriesReturned(int64(points))
+			stats.FromContext(ctx).AddEntriesReturned(int64(m.NumPoints()))
 			snap := finish(err)
 			if err != nil {
 				writeLogQLError(w, stats.HTTPStatus(err), err)

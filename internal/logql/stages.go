@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 )
 
@@ -365,7 +366,8 @@ func (s *labelFilterStage) Process(line string, lbls labels.Labels) (string, lab
 	if err != nil {
 		return line, lbls, false
 	}
-	return line, lbls, s.op.apply(v, s.num)
+	holds, _ := frontend.Compare(string(s.op), v, s.num)
+	return line, lbls, holds
 }
 
 func (s *labelFilterStage) String() string {

@@ -7,16 +7,6 @@ import (
 	"shastamon/internal/frontend"
 )
 
-// SetFrontend routes range queries through a query frontend (splitting,
-// results caching, admission control). PromQL sub-queries are never
-// shard-fanned: the TSDB's series striping is an implementation detail
-// its selector layer does not expose. Call during setup, not
-// concurrently with queries.
-func (e *Engine) SetFrontend(f *frontend.Frontend) { e.frontend = f }
-
-// Frontend returns the attached query frontend, nil when unset.
-func (e *Engine) Frontend() *frontend.Frontend { return e.frontend }
-
 // maxLookbackMS is the furthest any sub-evaluation of expr reads before
 // its step timestamp, in milliseconds: range windows for range
 // functions, the staleness lookback for instant selectors.
@@ -38,10 +28,13 @@ func (e *Engine) maxLookbackMS(expr Expr) int64 {
 	return 0
 }
 
-// rangeViaFrontend hands the range query to the frontend, which calls
-// back into rangeDirect for the splits the results cache cannot serve.
+// rangeViaFrontend hands the range query to the frontend, which
+// evaluates the splits the results cache cannot serve with
+// frontend.Range. PromQL sub-queries are never shard-fanned: the TSDB's
+// series striping is an implementation detail its selector layer does
+// not expose.
 func (e *Engine) rangeViaFrontend(ctx context.Context, expr Expr, start, end int64, step time.Duration) (Matrix, error) {
-	return e.frontend.QueryRange(ctx, frontend.Request{
+	return e.Frontend().QueryRange(ctx, frontend.Request{
 		Engine:   "promql",
 		Query:    expr.String(),
 		Start:    start,
@@ -50,7 +43,9 @@ func (e *Engine) rangeViaFrontend(ctx context.Context, expr Expr, start, end int
 		Unit:     time.Millisecond,
 		Lookback: e.maxLookbackMS(expr),
 		Eval: func(ctx context.Context, s, en int64, _ int) (Matrix, error) {
-			return e.rangeDirect(ctx, expr, s, en, step)
+			return frontend.Range(ctx, s, en, step.Milliseconds(), func(ctx context.Context, ts int64) (Vector, error) {
+				return e.InstantContext(ctx, expr, ts)
+			})
 		},
 	})
 }

@@ -35,7 +35,7 @@ func (e *Engine) Handler() http.Handler {
 			writePromError(w, http.StatusBadRequest, err)
 			return
 		}
-		ctx, finish := e.tracker.Start(r.Context(), "promql", q)
+		ctx, finish := e.Tracker().Start(r.Context(), "promql", q)
 		vec, err := e.InstantContext(ctx, expr, ts.UnixMilli())
 		stats.FromContext(ctx).AddEntriesReturned(int64(len(vec)))
 		snap := finish(err)
@@ -80,16 +80,12 @@ func (e *Engine) Handler() http.Handler {
 			writePromError(w, http.StatusBadRequest, err)
 			return
 		}
-		ctx, finish := e.tracker.Start(r.Context(), "promql", q)
+		ctx, finish := e.Tracker().Start(r.Context(), "promql", q)
 		if noCacheParam(r) {
 			ctx = frontend.WithoutCache(ctx)
 		}
 		m, err := e.RangeContext(ctx, expr, start.UnixMilli(), end.UnixMilli(), step)
-		points := 0
-		for _, s := range m {
-			points += len(s.Points)
-		}
-		stats.FromContext(ctx).AddEntriesReturned(int64(points))
+		stats.FromContext(ctx).AddEntriesReturned(int64(m.NumPoints()))
 		snap := finish(err)
 		if err != nil {
 			writePromError(w, stats.HTTPStatus(err), err)

@@ -10,16 +10,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 	"unicode"
 
 	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
-	"shastamon/internal/parallel"
 	"shastamon/internal/stats"
 	"shastamon/internal/tsdb"
 )
@@ -280,7 +277,7 @@ func (p *promParser) parseCmp() (Expr, error) {
 		return nil, err
 	}
 	t := p.peek()
-	if t.kind == "op" && isCmpOp(t.text) {
+	if t.kind == "op" && frontend.IsComparison(t.text) {
 		p.next()
 		rhs, err := p.parseAdd()
 		if err != nil {
@@ -291,12 +288,8 @@ func (p *promParser) parseCmp() (Expr, error) {
 	return lhs, nil
 }
 
-func isCmpOp(op string) bool {
-	return op == ">" || op == ">=" || op == "<" || op == "<=" || op == "==" || op == "!="
-}
-
-// newBin builds a binary expression, rejecting the operand shapes evalBin
-// does not implement (it tells scalars from vectors by the same
+// newBin builds a binary expression, rejecting the operand shapes the
+// evaluator does not implement (it tells scalars from vectors by the same
 // NumberExpr test) while the query is still a parse error — a 400 — and
 // not a failed evaluation.
 func (p *promParser) newBin(op string, lhs, rhs Expr) (Expr, error) {
@@ -305,7 +298,7 @@ func (p *promParser) newBin(op string, lhs, rhs Expr) (Expr, error) {
 	switch {
 	case !lScalar && !rScalar:
 		return nil, p.errf("vector-to-vector %q not supported in this subset", op)
-	case lScalar && rScalar && isCmpOp(op):
+	case lScalar && rScalar && frontend.IsComparison(op):
 		return nil, p.errf("scalar comparison without vector operand")
 	}
 	return &BinExpr{Op: op, LHS: lhs, RHS: rhs}, nil
@@ -543,39 +536,16 @@ func (p *promParser) parseSelector() (*SelectorExpr, error) {
 // fleet-wide rate() touches one series per node, and each series folds
 // independently.
 type Engine struct {
+	frontend.Base
 	db       *tsdb.DB
 	lookback time.Duration
-	workers  int
-	inFlight atomic.Int64
-	tracker  *stats.Tracker
-	frontend *frontend.Frontend
 }
 
 // NewEngine returns an engine with the default 5m staleness lookback and
 // GOMAXPROCS workers.
 func NewEngine(db *tsdb.DB) *Engine {
-	return &Engine{db: db, lookback: DefaultLookback, workers: parallel.Workers(0)}
+	return &Engine{db: db, lookback: DefaultLookback}
 }
-
-// SetParallelism bounds the per-series worker pool; n <= 1 evaluates
-// sequentially. Call during setup, not concurrently with queries.
-func (e *Engine) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// QueryParallelism reports in-flight range-function workers; the
-// warehouse exposes it as a gauge.
-func (e *Engine) QueryParallelism() int64 { return e.inFlight.Load() }
-
-// SetTracker attaches the active-query tracker the HTTP handler registers
-// queries with. Call during setup, not concurrently with queries.
-func (e *Engine) SetTracker(t *stats.Tracker) { e.tracker = t }
-
-// Tracker returns the attached active-query tracker, nil when unset.
-func (e *Engine) Tracker() *stats.Tracker { return e.tracker }
 
 // Instant evaluates the expression at ts (Unix ms).
 func (e *Engine) Instant(expr Expr, ts int64) (Vector, error) {
@@ -616,17 +586,32 @@ func (e *Engine) InstantContext(ctx context.Context, expr Expr, ts int64) (Vecto
 		if len(data) > 0 {
 			return nil, nil
 		}
-		b := labels.NewBuilder(nil)
-		for _, m := range ex.Selector.Matchers {
-			if m.Type == labels.MatchEqual {
-				b.Set(m.Name, m.Value)
-			}
-		}
-		return Vector{{Labels: b.Labels(), T: ts, V: 1}}, nil
+		return frontend.Absent(ex.Selector.Matchers, ts), nil
 	case *AggExpr:
-		return e.evalAgg(ctx, ex, ts)
+		inner, err := e.InstantContext(ctx, ex.Inner, ts)
+		if err != nil {
+			return nil, err
+		}
+		return frontend.Aggregate(ex.Op, 0, inner, ts, frontend.Grouping(ex.Grouping, ex.Without, tsdb.MetricNameLabel))
 	case *BinExpr:
-		return e.evalBin(ctx, ex, ts)
+		// The parser admits only a scalar literal on at least one side.
+		l, lScalar := ex.LHS.(NumberExpr)
+		r, rScalar := ex.RHS.(NumberExpr)
+		switch {
+		case lScalar && rScalar:
+			return frontend.ScalarOp(ex.Op, Vector{{T: ts, V: float64(l)}}, float64(r), false, nil)
+		case !lScalar && !rScalar:
+			return nil, fmt.Errorf("promql: vector-to-vector %q not supported in this subset", ex.Op)
+		}
+		vecSide, s := ex.LHS, float64(r)
+		if lScalar {
+			vecSide, s = ex.RHS, float64(l)
+		}
+		vec, err := e.InstantContext(ctx, vecSide, ts)
+		if err != nil {
+			return nil, err
+		}
+		return frontend.ScalarOp(ex.Op, vec, s, lScalar, dropName)
 	default:
 		return nil, fmt.Errorf("promql: unsupported expression %T", expr)
 	}
@@ -645,43 +630,15 @@ func (e *Engine) RangeContext(ctx context.Context, expr Expr, start, end int64, 
 	if step.Milliseconds() <= 0 {
 		return nil, fmt.Errorf("promql: step must be at least 1ms")
 	}
-	if e.frontend != nil {
+	if e.Frontend() != nil {
 		return e.rangeViaFrontend(ctx, expr, start, end, step)
 	}
 	sc := stats.FromContext(ctx)
 	sc.MarkExec()
 	sc.AddSplit()
-	return e.rangeDirect(ctx, expr, start, end, step)
-}
-
-// rangeDirect is the monolithic range evaluation: one instant
-// evaluation per step over the whole window. The frontend calls it per
-// split; split results concatenate to exactly this loop's output.
-func (e *Engine) rangeDirect(ctx context.Context, expr Expr, start, end int64, step time.Duration) (Matrix, error) {
-	byKey := map[string]*Series{}
-	var order []string
-	for ts := start; ts <= end; ts += step.Milliseconds() {
-		vec, err := e.InstantContext(ctx, expr, ts)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range vec {
-			key := s.Labels.String()
-			sr, ok := byKey[key]
-			if !ok {
-				sr = &Series{Labels: s.Labels}
-				byKey[key] = sr
-				order = append(order, key)
-			}
-			sr.Points = append(sr.Points, Point{T: ts, V: s.V})
-		}
-	}
-	sort.Strings(order)
-	m := make(Matrix, 0, len(order))
-	for _, k := range order {
-		m = append(m, *byKey[k])
-	}
-	return m, nil
+	return frontend.Range(ctx, start, end, step.Milliseconds(), func(ctx context.Context, ts int64) (Vector, error) {
+		return e.InstantContext(ctx, expr, ts)
+	})
 }
 
 func (e *Engine) evalRangeFn(ctx context.Context, ex *RangeFnExpr, ts int64) (Vector, error) {
@@ -699,7 +656,7 @@ func (e *Engine) evalRangeFn(ctx context.Context, ex *RangeFnExpr, ts int64) (Ve
 		ok bool
 	}
 	results := make([]result, len(data))
-	parallel.Do(len(data), e.workers, &e.inFlight, func(i int) {
+	e.Parallel(len(data), func(i int) {
 		if len(data[i].Samples) == 0 {
 			return
 		}
@@ -713,7 +670,7 @@ func (e *Engine) evalRangeFn(ctx context.Context, ex *RangeFnExpr, ts int64) (Ve
 		if !results[i].ok {
 			continue
 		}
-		out = append(out, Sample{Labels: sd.Labels.Without(tsdb.MetricNameLabel), T: ts, V: results[i].v})
+		out = append(out, Sample{Labels: dropName(sd.Labels), T: ts, V: results[i].v})
 	}
 	return out, nil
 }
@@ -725,11 +682,11 @@ func applyRangeFn(fn string, s []tsdb.Sample, rng time.Duration) (float64, bool)
 	case "last_over_time":
 		return s[len(s)-1].V, true
 	case "sum_over_time", "avg_over_time", "min_over_time", "max_over_time":
-		sum, minV, maxV := 0.0, math.Inf(1), math.Inf(-1)
+		sum, minV, maxV := 0.0, math.NaN(), math.NaN()
 		for _, p := range s {
 			sum += p.V
-			minV = math.Min(minV, p.V)
-			maxV = math.Max(maxV, p.V)
+			minV = frontend.Min(minV, p.V)
+			maxV = frontend.Max(maxV, p.V)
 		}
 		switch fn {
 		case "sum_over_time":
@@ -776,163 +733,7 @@ func applyRangeFn(fn string, s []tsdb.Sample, rng time.Duration) (float64, bool)
 	return 0, false
 }
 
-func (e *Engine) evalAgg(ctx context.Context, ex *AggExpr, ts int64) (Vector, error) {
-	inner, err := e.InstantContext(ctx, ex.Inner, ts)
-	if err != nil {
-		return nil, err
-	}
-	group := func(ls labels.Labels) labels.Labels {
-		ls = ls.Without(tsdb.MetricNameLabel)
-		if ex.Without {
-			return ls.Without(ex.Grouping...)
-		}
-		if len(ex.Grouping) == 0 {
-			return nil
-		}
-		return ls.Keep(ex.Grouping...)
-	}
-	type acc struct {
-		labels               labels.Labels
-		sum, min, max, count float64
-	}
-	groups := map[string]*acc{}
-	var order []string
-	for _, s := range inner {
-		gl := group(s.Labels)
-		key := gl.String()
-		g, ok := groups[key]
-		if !ok {
-			g = &acc{labels: gl, min: s.V, max: s.V}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.sum += s.V
-		g.count++
-		g.min = math.Min(g.min, s.V)
-		g.max = math.Max(g.max, s.V)
-	}
-	sort.Strings(order)
-	out := make(Vector, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		var v float64
-		switch ex.Op {
-		case "sum":
-			v = g.sum
-		case "min":
-			v = g.min
-		case "max":
-			v = g.max
-		case "avg":
-			v = g.sum / g.count
-		case "count":
-			v = g.count
-		}
-		out = append(out, Sample{Labels: g.labels, T: ts, V: v})
-	}
-	return out, nil
-}
-
-func (e *Engine) evalBin(ctx context.Context, ex *BinExpr, ts int64) (Vector, error) {
-	lhs, err := e.InstantContext(ctx, ex.LHS, ts)
-	if err != nil {
-		return nil, err
-	}
-	rhs, err := e.InstantContext(ctx, ex.RHS, ts)
-	if err != nil {
-		return nil, err
-	}
-	_, lScalar := ex.LHS.(NumberExpr)
-	_, rScalar := ex.RHS.(NumberExpr)
-	isCmp := isCmpOp(ex.Op)
-
-	apply := func(a, b float64) (float64, bool) {
-		switch ex.Op {
-		case "+":
-			return a + b, true
-		case "-":
-			return a - b, true
-		case "*":
-			return a * b, true
-		case "/":
-			return a / b, true
-		case ">":
-			return a, a > b
-		case ">=":
-			return a, a >= b
-		case "<":
-			return a, a < b
-		case "<=":
-			return a, a <= b
-		case "==":
-			return a, a == b
-		case "!=":
-			return a, a != b
-		}
-		return 0, false
-	}
-	switch {
-	case lScalar && rScalar:
-		if isCmp {
-			return nil, fmt.Errorf("promql: scalar comparison without vector operand")
-		}
-		v, _ := apply(lhs[0].V, rhs[0].V)
-		return Vector{{T: ts, V: v}}, nil
-	case rScalar:
-		b := rhs[0].V
-		out := make(Vector, 0, len(lhs))
-		for _, s := range lhs {
-			v, keep := apply(s.V, b)
-			if !keep && isCmp {
-				continue
-			}
-			lbls := s.Labels
-			if !isCmp {
-				lbls = lbls.Without(tsdb.MetricNameLabel)
-			}
-			out = append(out, Sample{Labels: lbls, T: ts, V: v})
-		}
-		return out, nil
-	case lScalar:
-		a := lhs[0].V
-		out := make(Vector, 0, len(rhs))
-		for _, s := range rhs {
-			var v float64
-			var keep bool
-			if isCmp {
-				// scalar OP vector keeps vector samples where the comparison holds
-				switch ex.Op {
-				case ">":
-					keep = a > s.V
-				case ">=":
-					keep = a >= s.V
-				case "<":
-					keep = a < s.V
-				case "<=":
-					keep = a <= s.V
-				case "==":
-					keep = a == s.V
-				case "!=":
-					keep = a != s.V
-				}
-				v = s.V
-				if !keep {
-					continue
-				}
-			} else {
-				v, _ = apply(a, s.V)
-			}
-			lbls := s.Labels
-			if !isCmp {
-				lbls = lbls.Without(tsdb.MetricNameLabel)
-			}
-			out = append(out, Sample{Labels: lbls, T: ts, V: v})
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("promql: vector-to-vector %q not supported in this subset", ex.Op)
-	}
-}
+func dropName(ls labels.Labels) labels.Labels { return ls.Without(tsdb.MetricNameLabel) }
 
 // Query parses and evaluates an instant query.
 func (e *Engine) Query(q string, ts int64) (Vector, error) {
@@ -968,10 +769,6 @@ func (e *Engine) QueryRangeContext(ctx context.Context, q string, start, end int
 	if err != nil {
 		return nil, err
 	}
-	points := 0
-	for _, s := range m {
-		points += len(s.Points)
-	}
-	stats.FromContext(ctx).AddEntriesReturned(int64(points))
+	stats.FromContext(ctx).AddEntriesReturned(int64(m.NumPoints()))
 	return m, nil
 }

@@ -35,15 +35,17 @@ go test -race -run 'TestCrashRecovery|TestWALDegraded' -count=3 -shuffle=on ./in
 GOMAXPROCS=1 go test -race -run 'TestDurable|TestTSDB|TestCrashImage|TestCheckpoint' -count=3 -shuffle=on ./internal/wal/ ./internal/loki/ ./internal/tsdb/
 GOMAXPROCS=2 go test -race -run 'TestDurable|TestTSDB|TestCrashImage|TestCheckpoint' -count=3 -shuffle=on ./internal/wal/ ./internal/loki/ ./internal/tsdb/
 
-# Decoder fuzz smoke: ten seconds of each byte-facing reader of the durable
+# Fuzz smoke: ten seconds of each byte-facing reader of the durable
 # directory (frame, record header + store codecs, checkpoint document +
-# rows), one target at a time. New corpus entries go to the build cache,
-# not the tree; only a failing input is written under testdata/. The store
-# targets recover a directory per input on worker pools, so their coverage
-# is never exactly repeatable and the default minimizer would spend the
+# rows) and of the query differential oracle (random LogQL/PromQL queries
+# against a naive evaluator), one target at a time. New corpus entries go
+# to the build cache, not the tree; only a failing input is written under
+# testdata/. The targets run worker pools per input, so their coverage is
+# never exactly repeatable and the default minimizer would spend the
 # whole budget re-running one input: it is turned off.
-for target in FuzzWALDecode FuzzRecordDecode FuzzCheckpointRows; do
-  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s -fuzzminimizetime=0 ./internal/wal/
+for spec in FuzzWALDecode:wal FuzzRecordDecode:wal FuzzCheckpointRows:wal FuzzQueryDifferential:frontend; do
+  target=${spec%%:*}
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s -fuzzminimizetime=0 "./internal/${spec#*:}/"
 done
 
 # Tenant isolation suite: concurrent two-tenant pushes into shared lock
@@ -67,10 +69,14 @@ done
 
 # Frontend golden-equality + concurrent-refresh soak: split/cached range
 # results must be bit-identical to the monolithic evaluation, including
-# under concurrent refresh with an eviction-squeezed cache, with the race
-# detector watching the cache and admission paths.
-go test -race -run 'TestFrontendGolden|TestFrontendConcurrentRefreshSoak' -count=1 \
-  ./internal/frontend/ ./internal/logql/ ./internal/promql/
+# under concurrent refresh with an eviction-squeezed cache, and both
+# engines must equal the naive query oracle on every frontend path, with
+# the race detector watching the cache and admission paths — repeated,
+# shuffled, on one, two and eight cores.
+for procs in 1 2 8; do
+  GOMAXPROCS=$procs go test -race -run 'TestFrontendGolden|TestFrontendConcurrentRefreshSoak|FuzzQueryDifferential' \
+    -count=3 -shuffle=on ./internal/frontend/ ./internal/logql/ ./internal/promql/
+done
 
 # Anomaly determinism soak: the streaming detectors and the Drain miner
 # are driven purely by sample timestamps, so repeated shuffled runs under
