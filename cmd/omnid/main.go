@@ -13,8 +13,11 @@
 //	GET /slack               messages received by the Slack webhook
 //	GET /servicenow/alerts   ServiceNow alerts
 //	GET /servicenow/incidents
-//	GET /query/logs?q=...    LogQL log query over the last hour
-//	GET /query/metrics?q=... PromQL instant query
+//	GET /loki/api/v1/query{,_range}  Loki query API (LogQL; times in Unix
+//	                         ns or RFC3339)
+//	GET /api/v1/query{,_range}       Prometheus query API (PromQL; times in
+//	                         Unix seconds or RFC3339); ranges are capped
+//	                         at 11,000 points per series
 //	GET /api/v1/heatmap      node × time error-density grid (JSON); params
 //	                         since=30m step=2m, format=render for the
 //	                         terminal shading
@@ -33,6 +36,7 @@
 //	GET /debug/queries       queries executing right now, with running stats
 //	POST /debug/queries/{id}/kill  cancel a runaway query mid-scan
 //	GET /debug/slowlog       recent slow / limit-breached queries (JSON)
+//	GET /debug/templates     mined log templates and miner stats (JSON)
 //	GET /debug/pprof/        net/http/pprof profiles
 //
 // With -meta-alerts, the built-in self-monitoring rule pack (core.MetaRules)
@@ -69,7 +73,7 @@ func main() {
 	switchAfter := flag.Duration("switch-after", 20*time.Second, "take a switch offline after this long (0 disables)")
 	syslogRate := flag.Int("syslog-rate", 20, "synthetic syslog messages per tick")
 	rulesPath := flag.String("rules", "", "JSON rule file (see core.RuleFile); default: the paper's two case-study rules")
-	metrics := flag.Bool("metrics", true, "serve /metrics, /debug/trace/, /debug/slo, /debug/queries, /debug/slowlog and /debug/pprof/ on the status listener")
+	metrics := flag.Bool("metrics", true, "serve /metrics, /debug/trace/, /debug/slo, /debug/queries, /debug/slowlog, /debug/templates and /debug/pprof/ on the status listener")
 	metaAlerts := flag.Bool("meta-alerts", false, "evaluate the built-in self-monitoring rule pack (SLO burn, stuck breakers, DLQ growth, stage errors, scrape staleness)")
 	dataDir := flag.String("data-dir", "", "durable warehouse directory (WAL, sealed-chunk spill, checkpoints); empty runs memory-only")
 	walFsync := flag.String("wal-fsync", "interval", "WAL fsync policy: always (sync every append), interval (lazy, default), never")

@@ -4,16 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
-	"strconv"
+	_ "net/http/pprof"
 	"time"
 
 	"shastamon/internal/anomaly"
 	"shastamon/internal/core"
 	"shastamon/internal/kafka"
-	"shastamon/internal/logql"
-	"shastamon/internal/obs"
-	"shastamon/internal/promql"
 	"shastamon/internal/stats"
 	"shastamon/internal/tenant"
 )
@@ -24,22 +20,6 @@ type serverOpts struct {
 	metrics bool
 	auth    *tenant.Auth
 	start   time.Time
-}
-
-// parseTimeParam reads an optional query-range bound: empty takes def,
-// an integer is unix nanoseconds, anything else must parse as RFC3339.
-func parseTimeParam(v string, def time.Time) (time.Time, error) {
-	if v == "" {
-		return def, nil
-	}
-	if ns, err := strconv.ParseInt(v, 10, 64); err == nil {
-		return time.Unix(0, ns), nil
-	}
-	t, err := time.Parse(time.RFC3339, v)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("want RFC3339 or unix nanoseconds, got %q", v)
-	}
-	return t, nil
 }
 
 // newStatusMux assembles omnid's status/query server. The query and
@@ -79,43 +59,6 @@ func newStatusMux(p *core.Pipeline, o serverOpts) *http.ServeMux {
 	mux.HandleFunc("/servicenow/incidents", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, p.ServiceNow.Incidents())
 	})
-	mux.Handle("/query/logs", o.auth.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query().Get("q")
-		if _, err := logql.ParseLogExpr(q); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		now := time.Now()
-		start, err := parseTimeParam(r.URL.Query().Get("start"), now.Add(-time.Hour))
-		if err != nil {
-			http.Error(w, "start: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		end, err := parseTimeParam(r.URL.Query().Get("end"), now)
-		if err != nil {
-			http.Error(w, "end: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		streams, _, err := p.Warehouse.QueryLogsContext(r.Context(), q, start.UnixNano(), end.UnixNano())
-		if err != nil {
-			http.Error(w, err.Error(), stats.HTTPStatus(err))
-			return
-		}
-		writeJSON(w, streams)
-	})))
-	mux.Handle("/query/metrics", o.auth.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query().Get("q")
-		if _, err := promql.Parse(q); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		vec, _, err := p.Warehouse.QueryMetricsContext(r.Context(), q, time.Now().UnixMilli())
-		if err != nil {
-			http.Error(w, err.Error(), stats.HTTPStatus(err))
-			return
-		}
-		writeJSON(w, vec)
-	})))
 	// Node × time error heatmap, computed through the query frontend. The
 	// same grid Grafana's heatmap panel would draw, served as JSON (or as
 	// terminal shading with format=render) so logcli and curl get it too.
@@ -203,7 +146,7 @@ func newStatusMux(p *core.Pipeline, o serverOpts) *http.ServeMux {
 	})
 	// Mount the component APIs: Loki push/metadata + LogQL queries,
 	// Prometheus-style queries, TSDB import, Alertmanager management.
-	// Push and query mounts share the tenant auth gate with /query/*.
+	// Push, query and heatmap mounts share the tenant auth gate.
 	for _, path := range []string{
 		"/loki/api/v1/push", "/loki/api/v1/labels", "/loki/api/v1/label/", "/loki/api/v1/series",
 	} {
@@ -217,20 +160,14 @@ func newStatusMux(p *core.Pipeline, o serverOpts) *http.ServeMux {
 	mux.Handle("/api/v2/", p.Alertmanager.Handler())
 
 	if o.metrics {
-		// Self-monitoring and profiling on the same listener: the united
-		// shastamon_* registries, the event tracer, and pprof.
-		mux.Handle("/metrics", obs.Handler(obs.GathererFunc(p.Gather)))
-		mux.Handle("/debug/trace/", p.Tracer.Handler())
-		mux.Handle("/debug/slo", p.SLO().Handler())
-		qh := p.Warehouse.Tracker.Handler()
-		mux.Handle("/debug/queries", qh)
-		mux.Handle("/debug/queries/", qh)
-		mux.Handle("/debug/slowlog", qh)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		// Self-monitoring and profiling on the same listener: the
+		// pipeline's observability routes (self-metrics, event traces,
+		// SLO, active queries, slowlog, templates) and pprof, which
+		// registers its routes on the default mux.
+		oh := p.ObsHandler()
+		mux.Handle("/metrics", oh)
+		mux.Handle("/debug/", oh)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	}
 	return mux
 }

@@ -2,14 +2,18 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"shastamon/internal/core"
+	"shastamon/internal/labels"
 	"shastamon/internal/loki"
 	"shastamon/internal/shasta"
 	"shastamon/internal/stats"
@@ -61,8 +65,6 @@ func TestQueryErrorStatusOnEveryEndpoint(t *testing.T) {
 		// must notice a dead context like every other.
 		`/api/v1/query?query=up`,
 		`/api/v1/query_range?query=up`,
-		`/query/logs?q={app="x"}`,
-		`/query/metrics?q=up`,
 	}
 	cases := []struct {
 		err  error
@@ -91,63 +93,48 @@ func TestQueryErrorStatusOnEveryEndpoint(t *testing.T) {
 	}
 }
 
-func TestParseTimeParam(t *testing.T) {
-	def := time.Unix(0, 42)
-	if got, err := parseTimeParam("", def); err != nil || !got.Equal(def) {
-		t.Fatalf("empty: %v %v", got, err)
-	}
-	if got, err := parseTimeParam("1500000000000000000", def); err != nil || got.UnixNano() != 1500000000000000000 {
-		t.Fatalf("unix nanos: %v %v", got, err)
-	}
-	if got, err := parseTimeParam("2022-03-03T01:47:57Z", def); err != nil ||
-		!got.Equal(time.Date(2022, 3, 3, 1, 47, 57, 0, time.UTC)) {
-		t.Fatalf("rfc3339: %v %v", got, err)
-	}
-	if _, err := parseTimeParam("yesterday-ish", def); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-// /query/logs: parse and validation errors are 400, success is 200, and
-// engine errors route through stats.HTTPStatus instead of a blanket 400.
+// The Loki query API: parse and validation errors are 400, success is
+// 200, and engine errors route through stats.HTTPStatus instead of a
+// blanket 400.
 func TestQueryLogsStatusCodes(t *testing.T) {
 	p := testPipeline(t, core.Options{})
 	mustTickAt(t, p, time.Date(2022, 3, 3, 1, 46, 0, 0, time.UTC))
 	mux := newStatusMux(p, serverOpts{})
 
-	if rr := get(t, mux, `/query/logs?q={app="fabric_manager_monitor"}`, nil); rr.Code != http.StatusOK {
+	if rr := get(t, mux, `/loki/api/v1/query_range?query={app="fabric_manager_monitor"}`, nil); rr.Code != http.StatusOK {
 		t.Fatalf("valid query: %d %s", rr.Code, rr.Body.String())
 	}
-	if rr := get(t, mux, `/query/logs?q={app=`, nil); rr.Code != http.StatusBadRequest {
+	if rr := get(t, mux, `/loki/api/v1/query_range?query={app=`, nil); rr.Code != http.StatusBadRequest {
 		t.Fatalf("parse error: %d, want 400", rr.Code)
 	}
-	// A metric expression is not a log selector: still a 400, pre-engine.
-	if rr := get(t, mux, `/query/logs?q=count_over_time({app="x"}[5m])`, nil); rr.Code != http.StatusBadRequest {
-		t.Fatalf("metric expr on log endpoint: %d, want 400", rr.Code)
+	// A log selector is not a metric expression: the instant endpoint
+	// refuses it with a 400, pre-engine.
+	if rr := get(t, mux, `/loki/api/v1/query?query={app="x"}`, nil); rr.Code != http.StatusBadRequest {
+		t.Fatalf("log selector on the instant endpoint: %d, want 400", rr.Code)
 	}
-	if rr := get(t, mux, `/query/logs?q={app="x"}&start=not-a-time`, nil); rr.Code != http.StatusBadRequest ||
-		!strings.Contains(rr.Body.String(), "start:") {
+	if rr := get(t, mux, `/loki/api/v1/query_range?query={app="x"}&start=not-a-time`, nil); rr.Code != http.StatusBadRequest ||
+		!strings.Contains(rr.Body.String(), `\"start\"`) {
 		t.Fatalf("bad start: %d %q, want 400 naming start", rr.Code, rr.Body.String())
 	}
-	if rr := get(t, mux, `/query/logs?q={app="x"}&end=2022-99-99`, nil); rr.Code != http.StatusBadRequest ||
-		!strings.Contains(rr.Body.String(), "end:") {
+	if rr := get(t, mux, `/loki/api/v1/query_range?query={app="x"}&end=2022-99-99`, nil); rr.Code != http.StatusBadRequest ||
+		!strings.Contains(rr.Body.String(), `\"end\"`) {
 		t.Fatalf("bad end: %d %q, want 400 naming end", rr.Code, rr.Body.String())
 	}
 	// Explicit RFC3339 and unix-nano bounds are accepted.
-	if rr := get(t, mux, `/query/logs?q={app="x"}&start=2022-03-03T00:00:00Z&end=1646273280000000000`, nil); rr.Code != http.StatusOK {
+	if rr := get(t, mux, `/loki/api/v1/query_range?query={app="x"}&start=2022-03-03T00:00:00Z&end=1646273280000000000`, nil); rr.Code != http.StatusOK {
 		t.Fatalf("explicit window: %d %s", rr.Code, rr.Body.String())
 	}
 }
 
-// An engine-side failure on /query/logs must not masquerade as a client
-// error: a query killed by the timeout guardrail returns 504.
+// An engine-side failure on the Loki query API must not masquerade as
+// a client error: a query killed by the timeout guardrail returns 504.
 func TestQueryLogsEngineTimeoutIs504(t *testing.T) {
 	p := testPipeline(t, core.Options{
 		LokiLimits: loki.Limits{QueryTimeout: time.Nanosecond},
 	})
 	mustTickAt(t, p, time.Date(2022, 3, 3, 1, 46, 0, 0, time.UTC))
 	mux := newStatusMux(p, serverOpts{})
-	rr := get(t, mux, `/query/logs?q={app="fabric_manager_monitor"}`, nil)
+	rr := get(t, mux, `/loki/api/v1/query_range?query={app="fabric_manager_monitor"}`, nil)
 	if rr.Code != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out query: %d %s, want 504", rr.Code, rr.Body.String())
 	}
@@ -157,10 +144,10 @@ func TestQueryMetricsStatusCodes(t *testing.T) {
 	p := testPipeline(t, core.Options{})
 	mustTickAt(t, p, time.Date(2022, 3, 3, 1, 46, 0, 0, time.UTC))
 	mux := newStatusMux(p, serverOpts{})
-	if rr := get(t, mux, `/query/metrics?q=node_temp_celsius`, nil); rr.Code != http.StatusOK {
+	if rr := get(t, mux, `/api/v1/query?query=node_temp_celsius`, nil); rr.Code != http.StatusOK {
 		t.Fatalf("valid query: %d %s", rr.Code, rr.Body.String())
 	}
-	if rr := get(t, mux, `/query/metrics?q=sum(`, nil); rr.Code != http.StatusBadRequest {
+	if rr := get(t, mux, `/api/v1/query?query=sum(`, nil); rr.Code != http.StatusBadRequest {
 		t.Fatalf("parse error: %d, want 400", rr.Code)
 	}
 }
@@ -201,8 +188,8 @@ func TestTenantAuthOnQueryEndpoints(t *testing.T) {
 	mux := newStatusMux(p, serverOpts{auth: auth})
 
 	for _, url := range []string{
-		`/query/logs?q={app="x"}`,
-		`/query/metrics?q=node_temp_celsius`,
+		`/loki/api/v1/query_range?query={app="x"}`,
+		`/api/v1/query?query=node_temp_celsius`,
 		`/api/v1/heatmap?since=10m&step=2m`,
 	} {
 		if rr := get(t, mux, url, nil); rr.Code != http.StatusUnauthorized {
@@ -216,7 +203,7 @@ func TestTenantAuthOnQueryEndpoints(t *testing.T) {
 		}
 	}
 	// A token for tenant hpc-a cannot claim to be another org.
-	rr := get(t, mux, `/query/logs?q={app="x"}`, map[string]string{
+	rr := get(t, mux, `/loki/api/v1/query_range?query={app="x"}`, map[string]string{
 		"Authorization": "Bearer s3cr3t", tenant.OrgIDHeader: "hpc-b",
 	})
 	if rr.Code != http.StatusUnauthorized {
@@ -227,9 +214,113 @@ func TestTenantAuthOnQueryEndpoints(t *testing.T) {
 	}
 }
 
+// With -metrics the status listener serves every route of the
+// pipeline's observability handler, answering as that handler does;
+// without it none of them.
+func TestObsRoutesOnStatusMux(t *testing.T) {
+	p := testPipeline(t, core.Options{})
+	mustTickAt(t, p, time.Date(2022, 3, 3, 1, 46, 0, 0, time.UTC))
+	obsMux := p.ObsHandler()
+	on := newStatusMux(p, serverOpts{metrics: true})
+	off := newStatusMux(p, serverOpts{})
+	for _, path := range []string{
+		"/metrics", "/debug/trace/", "/debug/slo", "/debug/queries", "/debug/queries/q1/kill",
+		"/debug/slowlog", "/debug/templates",
+	} {
+		want := httptest.NewRecorder()
+		obsMux.ServeHTTP(want, httptest.NewRequest(http.MethodGet, path, nil))
+		if want.Code == http.StatusNotFound {
+			t.Fatalf("%s: not an ObsHandler route", path)
+		}
+		if rr := get(t, on, path, nil); rr.Code != want.Code || rr.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Errorf("%s with -metrics: %d %q, ObsHandler answers %d %q",
+				path, rr.Code, rr.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"))
+		}
+		if rr := get(t, off, path, nil); rr.Code != http.StatusNotFound {
+			t.Errorf("%s without -metrics: %d, want 404", path, rr.Code)
+		}
+	}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol", "/debug/pprof/heap?debug=1"} {
+		if rr := get(t, on, path, nil); rr.Code != http.StatusOK {
+			t.Errorf("%s with -metrics: %d", path, rr.Code)
+		}
+		if rr := get(t, off, path, nil); rr.Code != http.StatusNotFound {
+			t.Errorf("%s without -metrics: %d, want 404", path, rr.Code)
+		}
+	}
+	if rr := get(t, on, "/debug/dlq", nil); rr.Code != http.StatusOK {
+		t.Errorf("dlq with -metrics: %d", rr.Code)
+	}
+}
+
 func mustTickAt(t *testing.T, p *core.Pipeline, now time.Time) {
 	t.Helper()
 	if err := p.Tick(now); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The query APIs' response shapes, pinned: status, Content-Type,
+// resultType and the exact result bytes of an instant, range, streams
+// and error response on each API, as Grafana reads them. Both APIs
+// share one error envelope, Prometheus' with errorType. Statistics are
+// timing-dependent and left out; TestHTTPStatisticsBlock covers them.
+func TestQueryResponseShape(t *testing.T) {
+	p := testPipeline(t, core.Options{})
+	base := time.Date(2022, 3, 3, 1, 0, 0, 0, time.UTC)
+	for i := 0; i < 6; i++ {
+		ts := base.Add(time.Duration(i) * 30 * time.Second)
+		level := []string{"info", "err"}[i%2]
+		if err := p.Warehouse.IngestLogs([]loki.PushStream{{
+			Labels:  labels.FromStrings("app", "shape", "level", level),
+			Entries: []loki.Entry{{Timestamp: ts.UnixNano(), Line: fmt.Sprintf("%s line %d", level, i)}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Warehouse.IngestMetric("shape_temp", labels.FromStrings("xname", "x1"), ts.UnixMilli(), 40+float64(i)/4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ns, s := base.Add(3*time.Minute).UnixNano(), base.Add(3*time.Minute).Unix()
+	mux := newStatusMux(p, serverOpts{})
+	rows := []struct{ url, want string }{
+		{fmt.Sprintf(`/loki/api/v1/query?query=%s&time=%d`, url.QueryEscape(`sum by (level) (count_over_time({app="shape"}[5m]))`), ns),
+			`200 application/json vector [{"metric":{"level":"err"},"value":[1646269380,"3"]},{"metric":{"level":"info"},"value":[1646269380,"3"]}]`},
+		{fmt.Sprintf(`/loki/api/v1/query_range?query=%s&start=%d&end=%d&step=60`, url.QueryEscape(`sum(count_over_time({app="shape"}[1m]))`), base.UnixNano(), ns),
+			`200 application/json matrix [{"metric":{},"values":[[1646269200,"1"],[1646269260,"2"],[1646269320,"2"],[1646269380,"1"]]}]`},
+		{fmt.Sprintf(`/loki/api/v1/query_range?query=%s&start=%d&end=%d`, url.QueryEscape(`{app="shape"} |= "err"`), base.UnixNano(), ns),
+			`200 application/json streams [{"stream":{"app":"shape","level":"err"},"values":[["1646269230000000000","err line 1"],["1646269290000000000","err line 3"],["1646269350000000000","err line 5"]]}]`},
+		{`/loki/api/v1/query?query=` + url.QueryEscape(`{app="shape"}`),
+			`400 application/json  {"error":"instant queries require a metric expression","errorType":"bad_data","status":"error"}`},
+		{`/loki/api/v1/query_range?query=` + url.QueryEscape(`{app=`),
+			`400 application/json  {"error":"logql: parse error at 5 in \"{app=\": expected string, got EOF \"\"","errorType":"bad_data","status":"error"}`},
+		{fmt.Sprintf(`/api/v1/query?query=shape_temp&time=%d`, s),
+			`200 application/json vector [{"metric":{"__name__":"shape_temp","xname":"x1"},"value":[1646269380,"41.25"]}]`},
+		{fmt.Sprintf(`/api/v1/query_range?query=%s&start=%d&end=%d&step=45`, url.QueryEscape(`max_over_time(shape_temp[1m])`), base.Unix(), s),
+			`200 application/json matrix [{"metric":{"xname":"x1"},"values":[[1646269200,"40"],[1646269245,"40.25"],[1646269290,"40.75"],[1646269335,"41"],[1646269380,"41.25"]]}]`},
+		{`/api/v1/query?query=shape_temp&time=1646269290.5`,
+			`200 application/json vector [{"metric":{"__name__":"shape_temp","xname":"x1"},"value":[1646269290.5,"40.75"]}]`},
+		{`/api/v1/query?query=` + url.QueryEscape(`sum(`),
+			`400 application/json  {"error":"promql: parse error at 4 in \"sum(\": unexpected \"\"","errorType":"bad_data","status":"error"}`},
+	}
+	for _, row := range rows {
+		rr := get(t, mux, row.url, nil)
+		var body struct {
+			Data struct {
+				ResultType string          `json:"resultType"`
+				Result     json.RawMessage `json:"result"`
+			} `json:"data"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: %v in %q", row.url, err, rr.Body.String())
+		}
+		result := string(body.Data.Result)
+		if rr.Code != http.StatusOK {
+			result = strings.TrimSpace(rr.Body.String())
+		}
+		got := fmt.Sprintf("%d %s %s %s", rr.Code, rr.Header().Get("Content-Type"), body.Data.ResultType, result)
+		if got != row.want {
+			t.Errorf("%s\n got %s\nwant %s", row.url, got, row.want)
+		}
 	}
 }

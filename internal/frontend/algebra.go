@@ -63,6 +63,9 @@ func Range(ctx context.Context, start, end, step int64, instant func(ctx context
 			sr := ss.get(s.Labels)
 			sr.Points = append(sr.Points, Point{T: ts, V: s.V})
 		}
+		if uint64(end-ts) < uint64(step) {
+			break // the next step passes end, or would overflow int64
+		}
 	}
 	return ss.matrix(), nil
 }

@@ -27,7 +27,8 @@
 //
 // Above their leaves both engines evaluate one vector algebra, defined
 // here (algebra.go): the per-step range loop, aggregation, the scalar
-// operator table, absent and the min/max NaN rule.
+// operator table, absent and the min/max NaN rule. Both query APIs are
+// one HTTP handler over the engines, also defined here (http.go).
 //
 // Admission is load-shed, not buffered without bound: each engine gets
 // a bounded queue in front of a concurrency limit, and a query arriving
@@ -412,23 +413,24 @@ func splitSpans(start, end, step, interval int64) []span {
 	if end < start {
 		return nil
 	}
-	gridEnd := start + (end-start)/step*step
+	// Unsigned, so a range spanning most of int64 cannot overflow.
+	gridEnd := start + int64(uint64(end-start)/uint64(step)*uint64(step))
 	if interval <= 0 {
 		return []span{{start, gridEnd}}
 	}
 	var out []span
-	cur := start
-	for cur <= gridEnd {
-		bucketLast := (floorDiv(cur, interval)+1)*interval - 1
-		hi := bucketLast
-		if hi > gridEnd {
-			hi = gridEnd
+	for cur := start; ; {
+		hi := gridEnd
+		if b := floorDiv(cur, interval); b < floorDiv(gridEnd, interval) {
+			hi = (b+1)*interval - 1
 		}
 		last := cur + (hi-cur)/step*step
 		out = append(out, span{cur, last})
+		if last == gridEnd {
+			return out
+		}
 		cur = last + step
 	}
-	return out
 }
 
 // unit returns the request's tick duration, defaulting to nanoseconds.

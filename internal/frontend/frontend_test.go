@@ -105,6 +105,33 @@ func evalRecorder(calls *atomic.Int64) func(ctx context.Context, start, end int6
 	}
 }
 
+// A range reaching the int64 bounds ends: the step loop and the split
+// grid stop at end instead of stepping past it into an overflow.
+func TestRangeAtInt64Bounds(t *testing.T) {
+	one := func(_ context.Context, ts int64) (Vector, error) { return Vector{{T: ts, V: 1}}, nil }
+	for _, c := range []struct {
+		start, end, step int64
+		points           int
+	}{
+		{math.MaxInt64 - 10, math.MaxInt64, 60e9, 1},
+		{math.MaxInt64 - 10, math.MaxInt64, 5, 3},
+		{math.MinInt64, math.MaxInt64, math.MaxInt64, 3},
+		{math.MinInt64, math.MinInt64 + 5, 2, 3},
+	} {
+		m, err := Range(context.Background(), c.start, c.end, c.step, one)
+		if err != nil || m.NumPoints() != c.points {
+			t.Errorf("Range(%d, %d, %d): %d points (%v), want %d", c.start, c.end, c.step, m.NumPoints(), err, c.points)
+		}
+		n := 0
+		for _, sp := range splitSpans(c.start, c.end, c.step, int64(5*time.Minute)) {
+			n += int(uint64(sp.end-sp.start)/uint64(c.step)) + 1
+		}
+		if n != c.points {
+			t.Errorf("splitSpans(%d, %d, %d) covers %d points, want %d", c.start, c.end, c.step, n, c.points)
+		}
+	}
+}
+
 func TestQueryRangeCachesImmutableSplits(t *testing.T) {
 	now := time.Unix(10_000, 0)
 	f := New(Config{SplitInterval: 100 * time.Nanosecond, Now: func() time.Time { return now }})

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,9 +17,10 @@ import (
 )
 
 type lokiResp struct {
-	Status string `json:"status"`
-	Error  string `json:"error"`
-	Data   struct {
+	Status    string `json:"status"`
+	Error     string `json:"error"`
+	ErrorType string `json:"errorType"`
+	Data      struct {
 		ResultType string          `json:"resultType"`
 		Result     json.RawMessage `json:"result"`
 	} `json:"data"`
@@ -167,5 +170,60 @@ func TestHTTPQueryRangeShedsWith429(t *testing.T) {
 		srv.URL, `sum(count_over_time({app="x"}[1m]))`, int64(2*time.Minute)))
 	if code != 200 {
 		t.Fatalf("after release: %d", code)
+	}
+}
+
+// serveWithin runs one request against h under a short deadline, so a
+// handler that starts evaluating a runaway range fails instead of
+// hanging the test.
+func serveWithin(h http.Handler, target string) *httptest.ResponseRecorder {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+	return rr
+}
+
+// Times and steps are validated before evaluation: a metric range over
+// 11,000 steps, a time that overflows int64 nanoseconds and a
+// non-finite or sub-nanosecond step are 400s that name the parameter.
+// Log-stream queries take no step and are not capped. RFC3339 times
+// are accepted.
+func TestHTTPParamValidation(t *testing.T) {
+	store := loki.NewStore(loki.DefaultLimits())
+	_ = store.Push([]loki.PushStream{{Labels: labels.FromStrings("app", "x"), Entries: []loki.Entry{{Timestamp: 1e9, Line: "e"}}}})
+	h := NewEngine(store).Handler()
+	metric := url.QueryEscape(`count_over_time({app="x"}[1m])`)
+	for _, c := range []struct{ target, want string }{
+		{`/loki/api/v1/query_range?query=` + metric + `&start=0&end=3600000000000&step=0.001`, "exceeded maximum resolution of 11,000 points per timeseries"},
+		{`/loki/api/v1/query_range?query=` + metric + `&start=0&end=11001000000000&step=1`, "exceeded maximum resolution of 11,000 points per timeseries"},
+		{`/loki/api/v1/query_range?query=` + metric + `&start=NaN&end=60`, `"start"`},
+		{`/loki/api/v1/query_range?query=` + metric + `&start=0&end=9223372036854775808`, `"end"`},
+		{`/loki/api/v1/query_range?query=` + metric + `&start=0&end=9999-12-31T00:00:00Z`, `"end"`},
+		{`/loki/api/v1/query_range?query=` + metric + `&start=0&end=60&step=NaN`, `"step"`},
+		{`/loki/api/v1/query_range?query=` + metric + `&start=0&end=60&step=-Inf`, `"step"`},
+		{`/loki/api/v1/query_range?query=` + metric + `&start=0&end=60&step=1e300`, `"step"`},
+		{`/loki/api/v1/query_range?query=` + metric + `&start=0&end=60&step=1e-10`, `"step"`},
+		{`/loki/api/v1/query?query=` + metric + `&time=Inf`, `"time"`},
+		{`/loki/api/v1/query?query=` + metric + `&time=-9223372036854775809`, `"time"`},
+	} {
+		rr := serveWithin(h, c.target)
+		var out lokiResp
+		_ = json.Unmarshal(rr.Body.Bytes(), &out)
+		if rr.Code != http.StatusBadRequest || out.ErrorType != "bad_data" || !strings.Contains(out.Error, c.want) {
+			t.Errorf("%s: %d %s, want 400 bad_data naming %s", c.target, rr.Code, rr.Body.String(), c.want)
+		}
+	}
+	for _, target := range []string{
+		`/loki/api/v1/query_range?query=` + metric + `&start=0&end=11000000000000&step=1`,
+		`/loki/api/v1/query_range?query=` + url.QueryEscape(`{app="x"}`) + `&start=0&end=3600000000000&step=0.001`,
+		`/loki/api/v1/query_range?query=` + metric + `&start=1970-01-01T00:00:00Z&end=1970-01-01T00:01:00Z&step=1`,
+		`/loki/api/v1/query?query=` + metric + `&time=1970-01-01T00:00:30Z`,
+		// One step from the top of int64 nanoseconds: the range ends.
+		`/loki/api/v1/query_range?query=` + metric + `&start=9223372036000000000&end=9223372036000000000&step=60`,
+	} {
+		if rr := serveWithin(h, target); rr.Code != http.StatusOK {
+			t.Errorf("%s: %d %s, want 200", target, rr.Code, rr.Body.String())
+		}
 	}
 }

@@ -113,8 +113,7 @@ type Warehouse struct {
 	lastCkpt        atomic.Int64 // Unix nanoseconds
 	recovery        Recovery
 
-	reg      *obs.Registry
-	queryDur *obs.HistogramVec
+	reg *obs.Registry
 
 	// faultHook, when set, is consulted before each ingest with the
 	// operation name ("logs" or "metric"); a non-nil return aborts the
@@ -158,8 +157,6 @@ func New(cfg Config) *Warehouse {
 		downsampleRes:   cfg.DownsampleResolution,
 		reg:             obs.NewRegistry(),
 	}
-	w.queryDur = w.reg.HistogramVec(obs.Namespace+"omni_query_duration_seconds",
-		"Warehouse query latency by engine.", obs.DefBuckets, "engine")
 	w.Tracker = stats.NewTracker(w.reg, stats.Config{
 		MaxBytesScanned: cfg.LokiLimits.MaxBytesScanned,
 		Timeout:         cfg.LokiLimits.QueryTimeout,
@@ -255,8 +252,8 @@ func (w *Warehouse) IngestMetric(name string, ls labels.Labels, tsMillis int64, 
 	return err
 }
 
-// QueryLogs runs a LogQL query through the warehouse, observing its
-// latency under engine="logql".
+// QueryLogs runs a LogQL query through the warehouse; the tracker
+// observes its latency under engine="logql".
 func (w *Warehouse) QueryLogs(q string, start, end int64) ([]logql.ResultStream, error) {
 	res, _, err := w.QueryLogsContext(context.Background(), q, start, end)
 	return res, err
@@ -266,16 +263,14 @@ func (w *Warehouse) QueryLogs(q string, start, end int64) ([]logql.ResultStream,
 // visible on /debug/queries, limit-armed and killable while it runs, and
 // the returned snapshot carries its statistics.
 func (w *Warehouse) QueryLogsContext(ctx context.Context, q string, start, end int64) ([]logql.ResultStream, stats.Snapshot, error) {
-	t0 := time.Now()
 	qctx, finish := w.Tracker.Start(ctx, "logql", q)
 	res, err := w.LogQL.QueryLogsContext(qctx, q, start, end)
 	snap := finish(err)
-	w.queryDur.With("logql").Observe(time.Since(t0).Seconds())
 	return res, snap, err
 }
 
-// QueryMetrics runs an instant PromQL query through the warehouse,
-// observing its latency under engine="promql".
+// QueryMetrics runs an instant PromQL query through the warehouse; the
+// tracker observes its latency under engine="promql".
 func (w *Warehouse) QueryMetrics(q string, tsMillis int64) (promql.Vector, error) {
 	res, _, err := w.QueryMetricsContext(context.Background(), q, tsMillis)
 	return res, err
@@ -283,11 +278,9 @@ func (w *Warehouse) QueryMetrics(q string, tsMillis int64) (promql.Vector, error
 
 // QueryMetricsContext is QueryMetrics with tracker registration.
 func (w *Warehouse) QueryMetricsContext(ctx context.Context, q string, tsMillis int64) (promql.Vector, stats.Snapshot, error) {
-	t0 := time.Now()
 	qctx, finish := w.Tracker.Start(ctx, "promql", q)
 	res, err := w.PromQL.QueryContext(qctx, q, tsMillis)
 	snap := finish(err)
-	w.queryDur.With("promql").Observe(time.Since(t0).Seconds())
 	return res, snap, err
 }
 

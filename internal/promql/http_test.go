@@ -1,6 +1,7 @@
 package promql
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,9 +15,10 @@ import (
 )
 
 type promResp struct {
-	Status string `json:"status"`
-	Error  string `json:"error"`
-	Data   struct {
+	Status    string `json:"status"`
+	Error     string `json:"error"`
+	ErrorType string `json:"errorType"`
+	Data      struct {
 		ResultType string          `json:"resultType"`
 		Result     json.RawMessage `json:"result"`
 	} `json:"data"`
@@ -143,20 +145,89 @@ func TestTSDBImportEndpoint(t *testing.T) {
 	}
 }
 
+// Float Unix seconds decode to the millisecond on the wire: a fractional
+// time selects its own sample, the rendered timestamp is the one sent,
+// garbage is a 400 and an absent time defaults to now.
 func TestParseUnixSecondsFractional(t *testing.T) {
-	ts, err := parseUnixSeconds("1646272077.5", time.Time{})
-	if err != nil {
-		t.Fatal(err)
+	db := tsdb.New()
+	_ = db.AppendMetric("g", nil, 1646272077500, 1)
+	_ = db.AppendMetric("g", nil, 1646272077501, 2)
+	h := NewEngine(db).Handler()
+	for _, c := range []struct{ time, want string }{
+		{"1646272077.5", `"value":[1646272077.5,"1"]`},
+		{"1646272077.501", `"value":[1646272077.501,"2"]`},
+	} {
+		if rr := serveWithin(h, "/api/v1/query?query=g&time="+c.time); rr.Code != 200 || !strings.Contains(rr.Body.String(), c.want) {
+			t.Fatalf("time=%s: %d %s, want %s", c.time, rr.Code, rr.Body.String(), c.want)
+		}
 	}
-	if ts.UnixMilli() != 1646272077500 {
-		t.Fatalf("%d", ts.UnixMilli())
+	if rr := serveWithin(h, "/api/v1/query?query=g&time=abc"); rr.Code != http.StatusBadRequest {
+		t.Fatalf("bad time accepted: %d", rr.Code)
 	}
-	if _, err := parseUnixSeconds("abc", time.Time{}); err == nil {
-		t.Fatal("bad time accepted")
+	before := float64(time.Now().UnixMilli()) / 1000
+	rr := serveWithin(h, "/api/v1/query?query="+url.QueryEscape("absent(nope)"))
+	var out struct {
+		Data struct {
+			Result []struct {
+				Value [2]any `json:"value"`
+			} `json:"result"`
+		} `json:"data"`
 	}
-	def := time.Unix(42, 0)
-	got, err := parseUnixSeconds("", def)
-	if err != nil || !got.Equal(def) {
-		t.Fatalf("%v %v", got, err)
+	_ = json.Unmarshal(rr.Body.Bytes(), &out)
+	if len(out.Data.Result) != 1 || out.Data.Result[0].Value[0].(float64) < before {
+		t.Fatalf("default time: %s, want now", rr.Body.String())
+	}
+}
+
+// serveWithin runs one request against h under a short deadline, so a
+// handler that starts evaluating a runaway range fails instead of
+// hanging the test.
+func serveWithin(h http.Handler, target string) *httptest.ResponseRecorder {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+	return rr
+}
+
+// Times and steps are validated before evaluation: a range over 11,000
+// steps, a non-finite or int64-overflowing time and a non-finite or
+// sub-millisecond step are 400s that name the parameter; RFC3339 times
+// are accepted.
+func TestHTTPParamValidation(t *testing.T) {
+	db := tsdb.New()
+	_ = db.AppendMetric("g", nil, 0, 1)
+	h := NewEngine(db).Handler()
+	for _, c := range []struct{ target, want string }{
+		{`/api/v1/query_range?query=g&start=0&end=3600&step=0.001`, "exceeded maximum resolution of 11,000 points per timeseries"},
+		{`/api/v1/query_range?query=g&start=0&end=11001&step=1`, "exceeded maximum resolution of 11,000 points per timeseries"},
+		{`/api/v1/query_range?query=g&start=NaN&end=60`, `"start"`},
+		{`/api/v1/query_range?query=g&start=-Inf&end=60`, `"start"`},
+		{`/api/v1/query_range?query=g&start=0&end=Inf`, `"end"`},
+		{`/api/v1/query_range?query=g&start=0&end=9223372037`, `"end"`},
+		{`/api/v1/query_range?query=g&start=0&end=60&step=NaN`, `"step"`},
+		{`/api/v1/query_range?query=g&start=0&end=60&step=Inf`, `"step"`},
+		{`/api/v1/query_range?query=g&start=0&end=60&step=1e300`, `"step"`},
+		{`/api/v1/query_range?query=g&start=0&end=60&step=0.0005`, `"step"`},
+		{`/api/v1/query?query=g&time=NaN`, `"time"`},
+		{`/api/v1/query?query=g&time=1e300`, `"time"`},
+		{`/api/v1/query?query=g&time=-Inf`, `"time"`},
+		{`/api/v1/query?query=g&time=9999-12-31T00:00:00Z`, `"time"`},
+	} {
+		rr := serveWithin(h, c.target)
+		var out promResp
+		_ = json.Unmarshal(rr.Body.Bytes(), &out)
+		if rr.Code != http.StatusBadRequest || out.ErrorType != "bad_data" || !strings.Contains(out.Error, c.want) {
+			t.Errorf("%s: %d %s, want 400 bad_data naming %s", c.target, rr.Code, rr.Body.String(), c.want)
+		}
+	}
+	for _, target := range []string{
+		`/api/v1/query_range?query=g&start=0&end=11000&step=1`,
+		`/api/v1/query_range?query=g&start=1970-01-01T00:00:00Z&end=1970-01-01T00:01:00Z&step=1`,
+		`/api/v1/query?query=g&time=1970-01-01T00:00:01Z`,
+	} {
+		if rr := serveWithin(h, target); rr.Code != http.StatusOK {
+			t.Errorf("%s: %d %s, want 200", target, rr.Code, rr.Body.String())
+		}
 	}
 }
