@@ -355,19 +355,23 @@ type logStream struct {
 }
 
 type logQuery struct {
-	src      string
-	sel      []matcher
-	filter   string
-	logfmt   bool
-	op       string
-	unwrap   bool
-	interval int64 // ns
-	agg      string
-	k        int
-	by       []string
-	without  bool
-	cmp      string
-	thr      float64
+	src       string
+	sel       []matcher
+	filter    string
+	logfmt    bool
+	op        string
+	unwrap    bool
+	interval  int64 // ns
+	agg       string
+	k         int
+	by        []string
+	without   bool
+	arith     string // + - * / against scalar, on its left with arithLeft
+	scalar    float64
+	arithLeft bool
+	cmp       string
+	thr       float64
+	cmpLeft   bool // the threshold is the comparison's left operand
 }
 
 // genLogLine renders a logfmt line with integer (or NaN) fields.
@@ -448,12 +452,52 @@ func genLogQuery(rng *rand.Rand) logQuery {
 		}
 	}
 	if rng.Intn(3) == 0 {
+		q.arith = arithOps[rng.Intn(len(arithOps))]
+		q.scalar = float64(1 + rng.Intn(5))
+		q.arithLeft = rng.Intn(2) == 0
+		if q.arithLeft {
+			src = fmt.Sprintf("%s %s %s", fmtValue(q.scalar), q.arith, src)
+		} else {
+			src = fmt.Sprintf("%s %s %s", src, q.arith, fmtValue(q.scalar))
+		}
+	}
+	if rng.Intn(3) == 0 {
 		q.cmp = cmpOps[rng.Intn(len(cmpOps))]
 		q.thr = float64(rng.Intn(11))
-		src = fmt.Sprintf("%s %s %s", src, q.cmp, fmtValue(q.thr))
+		q.cmpLeft = rng.Intn(2) == 0
+		if q.cmpLeft {
+			src = fmt.Sprintf("%s %s %s", fmtValue(q.thr), q.cmp, src)
+		} else {
+			src = fmt.Sprintf("%s %s %s", src, q.cmp, fmtValue(q.thr))
+		}
 	}
 	q.src = src
 	return q
+}
+
+// arithmetic applies op between every sample and the scalar s, on its
+// left with scalarLeft, passing the labels through relabel.
+func arithmetic(in []oracleSample, op string, s float64, scalarLeft bool, relabel func(labels.Labels) labels.Labels) []oracleSample {
+	out := make([]oracleSample, len(in))
+	for i, smp := range in {
+		a, b := smp.v, s
+		if scalarLeft {
+			a, b = b, a
+		}
+		var v float64
+		switch op {
+		case "+":
+			v = a + b
+		case "-":
+			v = a - b
+		case "*":
+			v = a * b
+		case "/":
+			v = a / b
+		}
+		out[i] = oracleSample{relabel(smp.lbls), v}
+	}
+	return out
 }
 
 // logfmtFields splits a generated line into its key=value pairs.
@@ -568,8 +612,11 @@ func evalLog(streams []logStream, q logQuery, ts int64) []oracleSample {
 	if q.agg != "" {
 		vec = aggregate(vec, q.agg, q.k, q.by, q.without, "")
 	}
+	if q.arith != "" {
+		vec = arithmetic(vec, q.arith, q.scalar, q.arithLeft, func(ls labels.Labels) labels.Labels { return ls })
+	}
 	if q.cmp != "" {
-		vec = compare(vec, q.cmp, q.thr, false)
+		vec = compare(vec, q.cmp, q.thr, q.cmpLeft)
 	}
 	return vec
 }
@@ -696,6 +743,7 @@ type promQuery struct {
 	fn         string // "" bare selector, "absent", or a range function
 	rng        int64  // ms
 	agg        string
+	k          int
 	by         []string
 	without    bool
 	bin        string
@@ -767,10 +815,16 @@ func genPromQuery(rng *rand.Rand, withNaN bool) promQuery {
 		src = fmt.Sprintf("%s(%s[%dm])", q.fn, src, mins)
 	}
 	if rng.Intn(2) == 0 {
-		q.agg = []string{"sum", "min", "max", "avg", "count"}[rng.Intn(5)]
+		aggs := []string{"sum", "min", "max", "avg", "count", "topk", "bottomk"}
+		q.agg = aggs[rng.Intn(len(aggs))]
 		var g string
 		q.by, q.without, g = grouping(rng, []string{"job", "node"})
-		src = fmt.Sprintf("%s(%s)%s", q.agg, src, g)
+		if q.agg == "topk" || q.agg == "bottomk" {
+			q.k = 1 + rng.Intn(3)
+			src = fmt.Sprintf("%s(%d, %s)%s", q.agg, q.k, src, g)
+		} else {
+			src = fmt.Sprintf("%s(%s)%s", q.agg, src, g)
+		}
 	}
 	if rng.Intn(2) == 0 {
 		if rng.Intn(2) == 0 {
@@ -896,31 +950,14 @@ func evalProm(series []promSeries, q promQuery, ts int64) []oracleSample {
 		}
 	}
 	if q.agg != "" {
-		vec = aggregate(vec, q.agg, 0, q.by, q.without, "__name__")
+		vec = aggregate(vec, q.agg, q.k, q.by, q.without, "__name__")
 	}
 	switch {
 	case q.bin == "":
 	case isComparison(q.bin):
 		vec = compare(vec, q.bin, q.scalar, q.scalarLeft)
 	default:
-		for i, s := range vec {
-			a, b := s.v, q.scalar
-			if q.scalarLeft {
-				a, b = b, a
-			}
-			var v float64
-			switch q.bin {
-			case "+":
-				v = a + b
-			case "-":
-				v = a - b
-			case "*":
-				v = a * b
-			case "/":
-				v = a / b
-			}
-			vec[i] = oracleSample{withoutName(s.lbls), v}
-		}
+		vec = arithmetic(vec, q.bin, q.scalar, q.scalarLeft, withoutName)
 	}
 	return vec
 }

@@ -1,25 +1,33 @@
+// Package logql implements the subset of Grafana Loki's LogQL query
+// language used throughout the paper: stream selectors, line filters,
+// parser stages (json, logfmt, pattern, regexp), label filters, formatting
+// stages, range aggregations over log selections (count_over_time, rate,
+// bytes_over_time, ...) and vector aggregations (sum by (...), ...), plus
+// threshold comparisons used in alerting rules.
+//
+// The metric grammar — lexer, numbers, durations, {…} matchers,
+// aggregations, binary operators and their evaluation — is the one
+// frontend grammar PromQL shares; this package plugs in its leaves: the
+// log selector and stage pipeline (parse.go, stages.go) and the range
+// aggregations over it (eval.go).
 package logql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
+	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 )
 
-// Expr is any parsed LogQL expression: a log query or a metric query.
-type Expr interface {
-	fmt.Stringer
-	expr()
-}
+// Expr is any parsed LogQL expression: a log query (*LogExpr) or a
+// metric query.
+type Expr = frontend.Expr
 
-// MetricExpr is an expression producing samples rather than log lines.
-type MetricExpr interface {
-	Expr
-	metricExpr()
-}
+// MetricExpr is an expression producing samples rather than log lines:
+// any Expr but a *LogExpr.
+type MetricExpr = frontend.Expr
 
 // LogExpr is a stream selector followed by a pipeline of stages, e.g.
 //
@@ -29,12 +37,10 @@ type LogExpr struct {
 	Stages   []Stage
 }
 
-func (*LogExpr) expr() {}
-
 // String renders the expression back to LogQL.
 func (e *LogExpr) String() string {
 	var b strings.Builder
-	b.WriteString(e.Selector.String())
+	b.WriteString(frontend.FormatMatchers(e.Selector))
 	for _, s := range e.Stages {
 		b.WriteByte(' ')
 		b.WriteString(s.String())
@@ -68,69 +74,13 @@ type RangeAggExpr struct {
 	Unwrap   string // label to unwrap for value aggregations; "" otherwise
 }
 
-func (*RangeAggExpr) expr()       {}
-func (*RangeAggExpr) metricExpr() {}
-
 func (e *RangeAggExpr) String() string {
 	unwrap := ""
 	if e.Unwrap != "" {
 		unwrap = " | unwrap " + e.Unwrap
 	}
-	return fmt.Sprintf("%s(%s%s [%s])", e.Op, e.Log, unwrap, e.Interval)
+	return fmt.Sprintf("%s(%s%s [%s])", e.Op, e.Log, unwrap, frontend.FormatDuration(e.Interval))
 }
 
-// VectorAggExpr is e.g. sum(...) by (severity, cluster).
-type VectorAggExpr struct {
-	Op       string // sum, min, max, avg, count, topk, bottomk
-	Param    int    // k for topk/bottomk
-	Inner    MetricExpr
-	Grouping []string
-	Without  bool
-}
-
-func (*VectorAggExpr) expr()       {}
-func (*VectorAggExpr) metricExpr() {}
-
-func (e *VectorAggExpr) String() string {
-	g := ""
-	if len(e.Grouping) > 0 || e.Without {
-		kw := "by"
-		if e.Without {
-			kw = "without"
-		}
-		g = fmt.Sprintf(" %s (%s)", kw, strings.Join(e.Grouping, ", "))
-	}
-	if e.Param > 0 {
-		return fmt.Sprintf("%s(%d, %s)%s", e.Op, e.Param, e.Inner, g)
-	}
-	return fmt.Sprintf("%s(%s)%s", e.Op, e.Inner, g)
-}
-
-// CmpOp is a comparison operator in threshold expressions.
-type CmpOp string
-
-// Comparison operators.
-const (
-	CmpGT  CmpOp = ">"
-	CmpGTE CmpOp = ">="
-	CmpLT  CmpOp = "<"
-	CmpLTE CmpOp = "<="
-	CmpEQ  CmpOp = "=="
-	CmpNE  CmpOp = "!="
-)
-
-// CmpExpr filters the samples of Inner by comparison against a scalar,
-// following PromQL filter semantics (non-matching samples drop out). This
-// is the shape of every alerting rule expression in the paper.
-type CmpExpr struct {
-	Inner     MetricExpr
-	Op        CmpOp
-	Threshold float64
-}
-
-func (*CmpExpr) expr()       {}
-func (*CmpExpr) metricExpr() {}
-
-func (e *CmpExpr) String() string {
-	return fmt.Sprintf("%s %s %s", e.Inner, e.Op, strconv.FormatFloat(e.Threshold, 'g', -1, 64))
-}
+// Lookback is how far before its step timestamp the aggregation reads.
+func (e *RangeAggExpr) Lookback() time.Duration { return e.Interval }

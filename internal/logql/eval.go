@@ -162,26 +162,18 @@ func (e *Engine) Instant(expr Expr, ts int64) (Vector, error) {
 // carried by ctx.
 func (e *Engine) InstantContext(ctx context.Context, expr Expr, ts int64) (Vector, error) {
 	stats.FromContext(ctx).MarkExec()
+	return lang.Eval(ctx, expr, ts, e.evalLeaf)
+}
+
+// evalLeaf evaluates LogQL's leaves under the shared metric layer.
+func (e *Engine) evalLeaf(ctx context.Context, expr Expr, ts int64) (Vector, error) {
 	switch ex := expr.(type) {
 	case *RangeAggExpr:
 		return e.evalRangeAgg(ctx, ex, ts)
-	case *VectorAggExpr:
-		inner, err := e.InstantContext(ctx, ex.Inner, ts)
-		if err != nil {
-			return nil, err
-		}
-		return frontend.Aggregate(ex.Op, ex.Param, inner, ts, frontend.Grouping(ex.Grouping, ex.Without))
-	case *CmpExpr:
-		inner, err := e.InstantContext(ctx, ex.Inner, ts)
-		if err != nil {
-			return nil, err
-		}
-		return frontend.ScalarOp(string(ex.Op), inner, ex.Threshold, false, nil)
 	case *LogExpr:
 		return nil, fmt.Errorf("logql: %q is a log query; use SelectLogs", ex)
-	default:
-		return nil, fmt.Errorf("logql: unsupported expression %T", expr)
 	}
+	return nil, fmt.Errorf("logql: unsupported expression %T", expr)
 }
 
 // Range evaluates a metric expression over [start, end] at the given step,
@@ -199,8 +191,8 @@ func (e *Engine) RangeContext(ctx context.Context, expr Expr, start, end int64, 
 	if step <= 0 {
 		return nil, fmt.Errorf("logql: step must be positive")
 	}
-	if me, ok := expr.(MetricExpr); ok && e.Frontend() != nil {
-		return e.rangeViaFrontend(ctx, me, start, end, step)
+	if _, isLog := expr.(*LogExpr); !isLog && e.Frontend() != nil {
+		return e.rangeViaFrontend(ctx, expr, start, end, step)
 	}
 	sc := stats.FromContext(ctx)
 	sc.MarkExec()

@@ -10,20 +10,6 @@ import (
 	"shastamon/internal/loki"
 )
 
-// maxLookback is the furthest any sub-evaluation of expr reads before
-// its step timestamp: the widest range-aggregation interval in the tree.
-func maxLookback(expr MetricExpr) time.Duration {
-	switch ex := expr.(type) {
-	case *RangeAggExpr:
-		return ex.Interval
-	case *VectorAggExpr:
-		return maxLookback(ex.Inner)
-	case *CmpExpr:
-		return maxLookback(ex.Inner)
-	}
-	return 0
-}
-
 // shardMergeOp decides whether expr may be evaluated independently per
 // store shard and merged pointwise, and with which operation. The
 // whitelist is deliberately exact-arithmetic only: counts and byte
@@ -56,7 +42,7 @@ func shardMergeOp(expr MetricExpr) (string, bool) {
 		case OpMinOverTime:
 			return "min", true
 		}
-	case *VectorAggExpr:
+	case *frontend.AggExpr:
 		inner, ok := ex.Inner.(*RangeAggExpr)
 		if !ok {
 			return "", false
@@ -95,7 +81,7 @@ func withShardSelector(expr MetricExpr, shard, of int) MetricExpr {
 		cp := *ex
 		cp.Log = &lg
 		return &cp
-	case *VectorAggExpr:
+	case *frontend.AggExpr:
 		cp := *ex
 		cp.Inner = withShardSelector(ex.Inner, shard, of)
 		return &cp
@@ -134,7 +120,7 @@ func (e *Engine) rangeViaFrontend(ctx context.Context, expr MetricExpr, start, e
 		End:      end,
 		Step:     int64(step),
 		Unit:     time.Nanosecond,
-		Lookback: int64(maxLookback(expr)),
+		Lookback: int64(frontend.Lookback(expr)),
 		Shards:   shards,
 		MergeOp:  mergeOp,
 		Eval: func(ctx context.Context, s, en int64, shard int) (Matrix, error) {

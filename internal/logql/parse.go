@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 )
 
@@ -19,38 +20,25 @@ var rangeOps = map[string]RangeOp{
 	"min_over_time":    OpMinOverTime,
 }
 
-var vectorOps = map[string]bool{
-	"sum": true, "min": true, "max": true, "avg": true, "count": true,
-	"topk": true, "bottomk": true,
-}
-
 // unwrapOps require an unwrap stage in the inner log pipeline.
 var unwrapOps = map[RangeOp]bool{
 	OpSumOverTime: true, OpAvgOverTime: true, OpMaxOverTime: true, OpMinOverTime: true,
 }
 
-type parser struct {
-	toks []token
-	pos  int
-	src  string
-}
+// lang is LogQL's part of the shared grammar: its leaves are range
+// aggregations over log selections.
+var lang = &frontend.Language{Name: "logql", Leaf: parseRangeAgg}
 
 // ParseExpr parses a complete LogQL expression — either a log query or a
 // metric query (range/vector aggregation with optional threshold).
 func ParseExpr(input string) (Expr, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, src: input}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if t := p.peek(); t.kind != tokEOF {
-		return nil, p.errf(t, "unexpected trailing %s %q", t.kind, t.text)
-	}
-	return e, nil
+	return lang.Parse(input, func(p *frontend.Parser) (Expr, error) {
+		if p.Peek().Is("{") {
+			e, _, err := parseLogExpr(p, false)
+			return e, err
+		}
+		return p.Expr()
+	})
 }
 
 // ParseLogExpr parses an expression that must be a plain log query.
@@ -72,117 +60,34 @@ func ParseMetricExpr(input string) (MetricExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	me, ok := e.(MetricExpr)
-	if !ok {
+	if _, ok := e.(*LogExpr); ok {
 		return nil, fmt.Errorf("logql: %q is a log query, not a metric query", input)
 	}
-	return me, nil
-}
-
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) backup()     { p.pos-- }
-
-func (p *parser) errf(t token, format string, args ...interface{}) error {
-	return fmt.Errorf("logql: parse error at %d in %q: %s", t.pos, p.src, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) expect(k tokKind) (token, error) {
-	t := p.next()
-	if t.kind != k {
-		return t, p.errf(t, "expected %s, got %s %q", k, t.kind, t.text)
-	}
-	return t, nil
-}
-
-func (p *parser) parseExpr() (Expr, error) {
-	t := p.peek()
-	switch {
-	case t.kind == tokLBrace:
-		return p.parseLogExpr()
-	case t.kind == tokIdent:
-		me, err := p.parseMetric()
-		if err != nil {
-			return nil, err
-		}
-		return p.maybeComparison(me)
-	default:
-		return nil, p.errf(t, "expected '{' or aggregation, got %s %q", t.kind, t.text)
-	}
-}
-
-func (p *parser) maybeComparison(me MetricExpr) (Expr, error) {
-	var op CmpOp
-	switch p.peek().kind {
-	case tokGt:
-		op = CmpGT
-	case tokGte:
-		op = CmpGTE
-	case tokLt:
-		op = CmpLT
-	case tokLte:
-		op = CmpLTE
-	case tokEqEq:
-		op = CmpEQ
-	case tokNeq:
-		op = CmpNE
-	default:
-		return me, nil
-	}
-	p.next()
-	numTok, err := p.expect(tokNumber)
-	if err != nil {
-		return nil, err
-	}
-	v, err := strconv.ParseFloat(numTok.text, 64)
-	if err != nil {
-		return nil, p.errf(numTok, "bad number: %v", err)
-	}
-	return &CmpExpr{Inner: me, Op: op, Threshold: v}, nil
-}
-
-func (p *parser) parseMetric() (MetricExpr, error) {
-	t, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := rangeOps[t.text]; ok {
-		return p.parseRangeAgg(op)
-	}
-	if vectorOps[t.text] {
-		return p.parseVectorAgg(t.text)
-	}
-	return nil, p.errf(t, "unknown function %q", t.text)
+	return e, nil
 }
 
 // parseRangeAgg parses op '(' logExpr [| unwrap lbl] '[' dur ']' ')'.
-func (p *parser) parseRangeAgg(op RangeOp) (*RangeAggExpr, error) {
-	if _, err := p.expect(tokLParen); err != nil {
-		return nil, err
-	}
-	log, unwrap, err := p.parseLogExprInner(true)
+func parseRangeAgg(p *frontend.Parser) (Expr, error) {
+	t, err := p.Expect(frontend.TokIdent)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokLBracket); err != nil {
+	op, ok := rangeOps[t.Text]
+	if !ok {
+		return nil, p.Errf(t, "unknown function %q", t.Text)
+	}
+	if err := p.ExpectSym("("); err != nil {
 		return nil, err
 	}
-	durTok := p.next()
-	if durTok.kind != tokDuration && durTok.kind != tokNumber {
-		return nil, p.errf(durTok, "expected duration, got %q", durTok.text)
-	}
-	text := durTok.text
-	if durTok.kind == tokNumber {
-		text += "s"
-	}
-	dur, err := parseDuration(text)
+	log, unwrap, err := parseLogExpr(p, true)
 	if err != nil {
-		return nil, p.errf(durTok, "bad duration: %v", err)
-	}
-	if _, err := p.expect(tokRBracket); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokRParen); err != nil {
+	dur, err := p.Range(true)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.ExpectSym(")"); err != nil {
 		return nil, err
 	}
 	if unwrapOps[op] && unwrap == "" {
@@ -194,108 +99,33 @@ func (p *parser) parseRangeAgg(op RangeOp) (*RangeAggExpr, error) {
 	return &RangeAggExpr{Op: op, Log: log, Interval: dur, Unwrap: unwrap}, nil
 }
 
-// parseVectorAgg parses op [grouping] '(' [k ','] inner ')' [grouping].
-func (p *parser) parseVectorAgg(op string) (*VectorAggExpr, error) {
-	agg := &VectorAggExpr{Op: op}
-	if err := p.maybeGrouping(agg); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokLParen); err != nil {
-		return nil, err
-	}
-	if op == "topk" || op == "bottomk" {
-		kTok, err := p.expect(tokNumber)
-		if err != nil {
-			return nil, err
-		}
-		k, err := strconv.Atoi(kTok.text)
-		if err != nil || k <= 0 {
-			return nil, p.errf(kTok, "bad k %q", kTok.text)
-		}
-		agg.Param = k
-		if _, err := p.expect(tokComma); err != nil {
-			return nil, err
-		}
-	}
-	inner, err := p.parseMetric()
-	if err != nil {
-		return nil, err
-	}
-	agg.Inner = inner
-	if _, err := p.expect(tokRParen); err != nil {
-		return nil, err
-	}
-	// LogQL also allows trailing grouping: sum(...) by (a, b) — the form the
-	// paper's Fig. 5 query uses.
-	if err := p.maybeGrouping(agg); err != nil {
-		return nil, err
-	}
-	return agg, nil
-}
-
-func (p *parser) maybeGrouping(agg *VectorAggExpr) error {
-	t := p.peek()
-	if t.kind != tokIdent || (t.text != "by" && t.text != "without") {
-		return nil
-	}
-	if len(agg.Grouping) > 0 || agg.Without {
-		return p.errf(t, "duplicate grouping clause")
-	}
-	p.next()
-	agg.Without = t.text == "without"
-	if _, err := p.expect(tokLParen); err != nil {
-		return err
-	}
-	for {
-		nameTok, err := p.expect(tokIdent)
-		if err != nil {
-			return err
-		}
-		agg.Grouping = append(agg.Grouping, nameTok.text)
-		if p.peek().kind == tokComma {
-			p.next()
-			continue
-		}
-		break
-	}
-	_, err := p.expect(tokRParen)
-	if err == nil && len(agg.Grouping) == 0 {
-		return p.errf(t, "empty grouping")
-	}
-	return err
-}
-
-func (p *parser) parseLogExpr() (*LogExpr, error) {
-	e, _, err := p.parseLogExprInner(false)
-	return e, err
-}
-
-// parseLogExprInner parses a selector plus stages. When inRange is true it
-// stops at '[' (the range bracket) and accepts an unwrap stage.
-func (p *parser) parseLogExprInner(inRange bool) (*LogExpr, string, error) {
-	sel, err := p.parseSelector()
+// parseLogExpr parses a selector plus stages. Inside a range
+// aggregation (inRange) it stops at the range bracket and accepts an
+// unwrap stage, whose label it returns.
+func parseLogExpr(p *frontend.Parser, inRange bool) (*LogExpr, string, error) {
+	sel, err := p.Matchers()
 	if err != nil {
 		return nil, "", err
 	}
 	e := &LogExpr{Selector: sel}
 	unwrap := ""
 	for {
-		t := p.peek()
-		switch t.kind {
-		case tokPipeExact, tokNeq, tokPipeMatch, tokNre:
-			p.next()
-			str, err := p.expect(tokString)
+		t := p.Peek()
+		switch {
+		case t.Is("|="), t.Is("!="), t.Is("|~"), t.Is("!~"):
+			p.Next()
+			str, err := p.Expect(frontend.TokString)
 			if err != nil {
 				return nil, "", err
 			}
-			st, err := newLineFilter(t.kind, str.text)
+			st, err := newLineFilter(t.Text, str.Text)
 			if err != nil {
 				return nil, "", err
 			}
 			e.Stages = append(e.Stages, st)
-		case tokPipe:
-			p.next()
-			st, uw, err := p.parsePipeStage(inRange)
+		case t.Is("|"):
+			p.Next()
+			st, uw, err := parsePipeStage(p, inRange)
 			if err != nil {
 				return nil, "", err
 			}
@@ -313,184 +143,106 @@ func (p *parser) parseLogExprInner(inRange bool) (*LogExpr, string, error) {
 	}
 }
 
-func (p *parser) parsePipeStage(allowUnwrap bool) (Stage, string, error) {
-	t := p.next()
-	if t.kind != tokIdent {
-		return nil, "", p.errf(t, "expected stage after '|', got %q", t.text)
+func parsePipeStage(p *frontend.Parser, allowUnwrap bool) (Stage, string, error) {
+	t := p.Next()
+	if t.Kind != frontend.TokIdent {
+		return nil, "", p.Errf(t, "expected stage after '|', got %q", t.Text)
 	}
-	switch t.text {
+	switch t.Text {
 	case "json":
 		return jsonStage{}, "", nil
 	case "logfmt":
 		return logfmtStage{}, "", nil
 	case "pattern":
-		str, err := p.expect(tokString)
+		str, err := p.Expect(frontend.TokString)
 		if err != nil {
 			return nil, "", err
 		}
-		st, err := newPatternStage(str.text)
+		st, err := newPatternStage(str.Text)
 		return st, "", err
 	case "regexp":
-		str, err := p.expect(tokString)
+		str, err := p.Expect(frontend.TokString)
 		if err != nil {
 			return nil, "", err
 		}
-		st, err := newRegexpStage(str.text)
+		st, err := newRegexpStage(str.Text)
 		return st, "", err
 	case "unwrap":
 		if !allowUnwrap {
-			return nil, "", p.errf(t, "unwrap is only valid inside a range aggregation")
+			return nil, "", p.Errf(t, "unwrap is only valid inside a range aggregation")
 		}
-		name, err := p.expect(tokIdent)
+		name, err := p.Expect(frontend.TokIdent)
 		if err != nil {
 			return nil, "", err
 		}
-		return nil, name.text, nil
+		return nil, name.Text, nil
 	case "line_format":
-		str, err := p.expect(tokString)
+		str, err := p.Expect(frontend.TokString)
 		if err != nil {
 			return nil, "", err
 		}
-		return &lineFormatStage{template: str.text}, "", nil
+		return &lineFormatStage{template: str.Text}, "", nil
 	case "label_format":
-		dst, err := p.expect(tokIdent)
+		dst, err := p.Expect(frontend.TokIdent)
 		if err != nil {
 			return nil, "", err
 		}
-		if _, err := p.expect(tokEq); err != nil {
+		if err := p.ExpectSym("="); err != nil {
 			return nil, "", err
 		}
-		v := p.next()
-		switch v.kind {
-		case tokIdent:
-			return &labelFormatStage{dst: dst.text, src: v.text}, "", nil
-		case tokString:
-			return &labelFormatStage{dst: dst.text, template: v.text}, "", nil
+		v := p.Next()
+		switch v.Kind {
+		case frontend.TokIdent:
+			return &labelFormatStage{dst: dst.Text, src: v.Text}, "", nil
+		case frontend.TokString:
+			return &labelFormatStage{dst: dst.Text, template: v.Text}, "", nil
 		default:
-			return nil, "", p.errf(v, "label_format expects identifier or string")
+			return nil, "", p.Errf(v, "label_format expects identifier or string")
 		}
 	}
-	// Label filter: ident op (string | number)
-	name := t.text
-	opTok := p.next()
-	switch opTok.kind {
-	case tokEq, tokNeq, tokRe, tokNre:
-		valTok := p.next()
-		switch valTok.kind {
-		case tokString:
-			var mt labels.MatchType
-			switch opTok.kind {
-			case tokEq:
-				mt = labels.MatchEqual
-			case tokNeq:
-				mt = labels.MatchNotEqual
-			case tokRe:
-				mt = labels.MatchRegexp
-			case tokNre:
-				mt = labels.MatchNotRegexp
-			}
-			m, err := labels.NewMatcher(mt, name, valTok.text)
-			if err != nil {
-				return nil, "", err
-			}
-			return &labelFilterStage{matcher: m}, "", nil
-		case tokNumber:
-			if opTok.kind != tokEq && opTok.kind != tokNeq {
-				return nil, "", p.errf(valTok, "regexp filter needs a string")
-			}
-			v, err := strconv.ParseFloat(valTok.text, 64)
-			if err != nil {
-				return nil, "", p.errf(valTok, "bad number: %v", err)
-			}
-			op := CmpEQ
-			if opTok.kind == tokNeq {
-				op = CmpNE
-			}
-			return &labelFilterStage{name: name, op: op, num: v}, "", nil
-		default:
-			return nil, "", p.errf(valTok, "expected string or number after %s", opTok.text)
-		}
-	case tokGt, tokGte, tokLt, tokLte, tokEqEq:
-		valTok := p.next()
-		var v float64
-		var err error
-		switch valTok.kind {
-		case tokNumber:
-			v, err = strconv.ParseFloat(valTok.text, 64)
-		case tokDuration:
-			var d int64
-			dd, derr := parseDuration(valTok.text)
-			d, err = int64(dd), derr
-			v = float64(d) / 1e9
-		default:
-			return nil, "", p.errf(valTok, "expected number after comparison")
-		}
+	// Label filter: ident op (string | number | duration)
+	name, opTok, valTok := t.Text, p.Next(), p.Next()
+	if opTok.Kind != frontend.TokSymbol {
+		return nil, "", p.Errf(opTok, "unknown stage %q", name)
+	}
+	if mt, ok := frontend.MatchType(opTok.Text); ok && valTok.Kind == frontend.TokString {
+		m, err := labels.NewMatcher(mt, name, valTok.Text)
 		if err != nil {
-			return nil, "", p.errf(valTok, "bad number: %v", err)
+			return nil, "", err
 		}
-		var op CmpOp
-		switch opTok.kind {
-		case tokGt:
-			op = CmpGT
-		case tokGte:
-			op = CmpGTE
-		case tokLt:
-			op = CmpLT
-		case tokLte:
-			op = CmpLTE
-		case tokEqEq:
-			op = CmpEQ
+		return &labelFilterStage{matcher: m}, "", nil
+	}
+	op := opTok.Text
+	switch op {
+	case "=", "!=":
+		if valTok.Kind != frontend.TokNumber {
+			return nil, "", p.Errf(valTok, "expected string or number after %s", op)
 		}
-		return &labelFilterStage{name: name, op: op, num: v}, "", nil
+		if op == "=" {
+			op = "=="
+		}
+	case "=~", "!~":
+		if valTok.Kind == frontend.TokNumber {
+			return nil, "", p.Errf(valTok, "regexp filter needs a string")
+		}
+		return nil, "", p.Errf(valTok, "expected string or number after %s", op)
+	case ">", ">=", "<", "<=", "==":
+		if valTok.Kind == frontend.TokDuration {
+			d, err := frontend.ParseDuration(valTok.Text)
+			if err != nil {
+				return nil, "", p.Errf(valTok, "bad number: %v", err)
+			}
+			return &labelFilterStage{name: name, op: op, num: float64(d) / 1e9}, "", nil
+		}
+		if valTok.Kind != frontend.TokNumber {
+			return nil, "", p.Errf(valTok, "expected number after comparison")
+		}
 	default:
-		return nil, "", p.errf(opTok, "unknown stage %q", name)
+		return nil, "", p.Errf(opTok, "unknown stage %q", name)
 	}
-}
-
-func (p *parser) parseSelector() (labels.Selector, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
+	v, err := strconv.ParseFloat(valTok.Text, 64)
+	if err != nil {
+		return nil, "", p.Errf(valTok, "bad number: %v", err)
 	}
-	var sel labels.Selector
-	if p.peek().kind == tokRBrace {
-		p.next()
-		return sel, nil
-	}
-	for {
-		nameTok, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		opTok := p.next()
-		var mt labels.MatchType
-		switch opTok.kind {
-		case tokEq:
-			mt = labels.MatchEqual
-		case tokNeq:
-			mt = labels.MatchNotEqual
-		case tokRe:
-			mt = labels.MatchRegexp
-		case tokNre:
-			mt = labels.MatchNotRegexp
-		default:
-			return nil, p.errf(opTok, "expected matcher operator, got %q", opTok.text)
-		}
-		valTok, err := p.expect(tokString)
-		if err != nil {
-			return nil, err
-		}
-		m, err := labels.NewMatcher(mt, nameTok.text, valTok.text)
-		if err != nil {
-			return nil, err
-		}
-		sel = append(sel, m)
-		t := p.next()
-		if t.kind == tokComma {
-			continue
-		}
-		if t.kind == tokRBrace {
-			return sel, nil
-		}
-		return nil, p.errf(t, "expected ',' or '}', got %q", t.text)
-	}
+	return &labelFilterStage{name: name, op: op, num: v}, "", nil
 }

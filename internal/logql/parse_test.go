@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"shastamon/internal/frontend"
 )
 
 func TestParseLogSelector(t *testing.T) {
@@ -57,7 +59,7 @@ func TestParsePaperFig5Query(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, ok := e.(*VectorAggExpr)
+	agg, ok := e.(*frontend.AggExpr)
 	if !ok {
 		t.Fatalf("not a vector agg: %T", e)
 	}
@@ -80,8 +82,8 @@ func TestParsePaperFig8Query(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, ok := e.(*CmpExpr)
-	if !ok || cmp.Op != CmpGT || cmp.Threshold != 0 {
+	cmp, ok := e.(*frontend.BinExpr)
+	if !ok || cmp.Op != ">" || cmp.RHS != frontend.NumberExpr(0) {
 		t.Fatalf("cmp: %+v", e)
 	}
 }
@@ -91,7 +93,7 @@ func TestParseGroupingBeforeParens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := e.(*VectorAggExpr)
+	agg := e.(*frontend.AggExpr)
 	if len(agg.Grouping) != 1 || agg.Grouping[0] != "xname" {
 		t.Fatalf("%+v", agg)
 	}
@@ -102,7 +104,7 @@ func TestParseWithout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := e.(*VectorAggExpr)
+	agg := e.(*frontend.AggExpr)
 	if !agg.Without {
 		t.Fatal("without flag unset")
 	}
@@ -113,7 +115,7 @@ func TestParseTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := e.(*VectorAggExpr)
+	agg := e.(*frontend.AggExpr)
 	if agg.Param != 3 || agg.Op != "topk" {
 		t.Fatalf("%+v", agg)
 	}

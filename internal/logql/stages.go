@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
@@ -22,14 +23,15 @@ type Stage interface {
 // ---- line filters: |= != |~ !~ ----
 
 type lineFilterStage struct {
-	op    tokKind // tokPipeExact, tokNeq, tokPipeMatch, tokNre
+	op    string // |= != |~ !~
 	match string
-	re    *regexp.Regexp
+	re    *regexp.Regexp // set for |~ and !~
+	keep  bool           // a line that matches survives: |= and |~
 }
 
-func newLineFilter(op tokKind, match string) (Stage, error) {
-	s := &lineFilterStage{op: op, match: match}
-	if op == tokPipeMatch || op == tokNre {
+func newLineFilter(op string, match string) (Stage, error) {
+	s := &lineFilterStage{op: op, match: match, keep: op[0] == '|'}
+	if op[1] == '~' {
 		re, err := regexp.Compile(match)
 		if err != nil {
 			return nil, fmt.Errorf("logql: line filter regexp: %w", err)
@@ -40,21 +42,14 @@ func newLineFilter(op tokKind, match string) (Stage, error) {
 }
 
 func (s *lineFilterStage) Process(line string, lbls labels.Labels) (string, labels.Labels, bool) {
-	switch s.op {
-	case tokPipeExact:
-		return line, lbls, strings.Contains(line, s.match)
-	case tokNeq:
-		return line, lbls, !strings.Contains(line, s.match)
-	case tokPipeMatch:
-		return line, lbls, s.re.MatchString(line)
-	case tokNre:
-		return line, lbls, !s.re.MatchString(line)
+	if s.re != nil {
+		return line, lbls, s.re.MatchString(line) == s.keep
 	}
-	return line, lbls, false
+	return line, lbls, strings.Contains(line, s.match) == s.keep
 }
 
 func (s *lineFilterStage) String() string {
-	return s.op.String() + " " + strconv.Quote(s.match)
+	return s.op + " " + frontend.Quote(s.match)
 }
 
 // ---- json parser: | json ----
@@ -225,6 +220,9 @@ func newPatternStage(template string) (Stage, error) {
 	return &patternStage{template: template, parts: parts}, nil
 }
 
+// isIdentPart reports whether c may appear in a pattern capture name.
+func isIdentPart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) || c >= '0' && c <= '9' }
+
 func parsePatternTemplate(t string) ([]patPart, error) {
 	var parts []patPart
 	i := 0
@@ -305,7 +303,7 @@ func matchPattern(parts []patPart, line string) (map[string]string, bool) {
 	return caps, true
 }
 
-func (s *patternStage) String() string { return "| pattern " + strconv.Quote(s.template) }
+func (s *patternStage) String() string { return "| pattern " + frontend.Quote(s.template) }
 
 // ---- regexp parser: | regexp "(?P<name>...)" ----
 
@@ -346,7 +344,7 @@ func (s *regexpStage) Process(line string, lbls labels.Labels) (string, labels.L
 	return line, b.Labels(), true
 }
 
-func (s *regexpStage) String() string { return "| regexp " + strconv.Quote(s.expr) }
+func (s *regexpStage) String() string { return "| regexp " + frontend.Quote(s.expr) }
 
 // ---- label filter: | severity="Warning", | value > 5 ----
 
@@ -354,7 +352,7 @@ type labelFilterStage struct {
 	// exactly one of matcher / numeric is set
 	matcher *labels.Matcher
 	name    string
-	op      CmpOp
+	op      string // > >= < <= == !=
 	num     float64
 }
 
@@ -366,15 +364,15 @@ func (s *labelFilterStage) Process(line string, lbls labels.Labels) (string, lab
 	if err != nil {
 		return line, lbls, false
 	}
-	holds, _ := frontend.Compare(string(s.op), v, s.num)
+	holds, _ := frontend.Compare(s.op, v, s.num)
 	return line, lbls, holds
 }
 
 func (s *labelFilterStage) String() string {
 	if s.matcher != nil {
-		return "| " + s.matcher.String()
+		return "| " + frontend.FormatMatcher(s.matcher)
 	}
-	return fmt.Sprintf("| %s %s %g", s.name, s.op, s.num)
+	return fmt.Sprintf("| %s %s %s", s.name, s.op, frontend.FormatNumber(s.num))
 }
 
 // ---- line_format: | line_format "{{.severity}}: {{.message}}" ----
@@ -396,7 +394,7 @@ func (s *lineFormatStage) Process(line string, lbls labels.Labels) (string, labe
 	return out, lbls, true
 }
 
-func (s *lineFormatStage) String() string { return "| line_format " + strconv.Quote(s.template) }
+func (s *lineFormatStage) String() string { return "| line_format " + frontend.Quote(s.template) }
 
 // ---- label_format: | label_format dst=src or dst="{{.a}}-{{.b}}" ----
 
@@ -423,7 +421,7 @@ func (s *labelFormatStage) Process(line string, lbls labels.Labels) (string, lab
 
 func (s *labelFormatStage) String() string {
 	if s.template != "" {
-		return fmt.Sprintf("| label_format %s=%s", s.dst, strconv.Quote(s.template))
+		return fmt.Sprintf("| label_format %s=%s", s.dst, frontend.Quote(s.template))
 	}
 	return fmt.Sprintf("| label_format %s=%s", s.dst, s.src)
 }

@@ -9,18 +9,18 @@ import (
 func TestLineFilters(t *testing.T) {
 	base := labels.FromStrings("a", "b")
 	cases := []struct {
-		op   tokKind
+		op   string
 		arg  string
 		line string
 		keep bool
 	}{
-		{tokPipeExact, "leak", "a leak was detected", true},
-		{tokPipeExact, "leak", "all dry", false},
-		{tokNeq, "leak", "all dry", true},
-		{tokNeq, "leak", "a leak", false},
-		{tokPipeMatch, "x1[0-9]+", "at x1002c1", true},
-		{tokPipeMatch, "x1[0-9]+", "at y2", false},
-		{tokNre, "x1[0-9]+", "at y2", true},
+		{"|=", "leak", "a leak was detected", true},
+		{"|=", "leak", "all dry", false},
+		{"!=", "leak", "all dry", true},
+		{"!=", "leak", "a leak", false},
+		{"|~", "x1[0-9]+", "at x1002c1", true},
+		{"|~", "x1[0-9]+", "at y2", false},
+		{"!~", "x1[0-9]+", "at y2", true},
 	}
 	for _, c := range cases {
 		st, err := newLineFilter(c.op, c.arg)
@@ -202,7 +202,7 @@ func TestLabelFilterString(t *testing.T) {
 }
 
 func TestLabelFilterNumeric(t *testing.T) {
-	st := &labelFilterStage{name: "value", op: CmpGT, num: 5}
+	st := &labelFilterStage{name: "value", op: ">", num: 5}
 	if _, _, keep := st.Process("l", labels.FromStrings("value", "10")); !keep {
 		t.Fatal("10 > 5 should keep")
 	}
@@ -241,8 +241,8 @@ func TestLabelFormatTemplate(t *testing.T) {
 }
 
 func TestRunPipelineShortCircuits(t *testing.T) {
-	f1, _ := newLineFilter(tokPipeExact, "present")
-	f2, _ := newLineFilter(tokPipeExact, "absent")
+	f1, _ := newLineFilter("|=", "present")
+	f2, _ := newLineFilter("|=", "absent")
 	_, _, keep := runPipeline([]Stage{f1, f2}, "present only", nil)
 	if keep {
 		t.Fatal("should drop at second filter")

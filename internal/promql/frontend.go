@@ -7,27 +7,6 @@ import (
 	"shastamon/internal/frontend"
 )
 
-// maxLookbackMS is the furthest any sub-evaluation of expr reads before
-// its step timestamp, in milliseconds: range windows for range
-// functions, the staleness lookback for instant selectors.
-func (e *Engine) maxLookbackMS(expr Expr) int64 {
-	switch ex := expr.(type) {
-	case *SelectorExpr, *AbsentExpr:
-		return e.lookback.Milliseconds()
-	case *RangeFnExpr:
-		return ex.Range.Milliseconds()
-	case *AggExpr:
-		return e.maxLookbackMS(ex.Inner)
-	case *BinExpr:
-		l, r := e.maxLookbackMS(ex.LHS), e.maxLookbackMS(ex.RHS)
-		if r > l {
-			return r
-		}
-		return l
-	}
-	return 0
-}
-
 // rangeViaFrontend hands the range query to the frontend, which
 // evaluates the splits the results cache cannot serve with
 // frontend.Range. PromQL sub-queries are never shard-fanned: the TSDB's
@@ -41,7 +20,7 @@ func (e *Engine) rangeViaFrontend(ctx context.Context, expr Expr, start, end int
 		End:      end,
 		Step:     step.Milliseconds(),
 		Unit:     time.Millisecond,
-		Lookback: e.maxLookbackMS(expr),
+		Lookback: frontend.Lookback(expr).Milliseconds(),
 		Eval: func(ctx context.Context, s, en int64, _ int) (Matrix, error) {
 			return frontend.Range(ctx, s, en, step.Milliseconds(), func(ctx context.Context, ts int64) (Vector, error) {
 				return e.InstantContext(ctx, expr, ts)

@@ -79,3 +79,43 @@ func TestFrontendGoldenEquality(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontendParenthesisedCacheKeys runs queries that differ only in
+// their parentheses through one frontend, in both orders, and requires
+// each to equal the monolithic evaluation: the results cache is keyed by
+// the rendered query, so a String() that drops parentheses would serve
+// one query's cached splits to the other.
+func TestFrontendParenthesisedCacheKeys(t *testing.T) {
+	db := tsdb.New()
+	for ts := int64(0); ts <= 600_000; ts += 15_000 {
+		if err := db.AppendMetric("up", labels.FromStrings("job", "node"), ts, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mono := NewEngine(db)
+	for _, pair := range [][2]string{
+		{`2 * (up + 1)`, `2 * up + 1`},
+		{`2 * up + 1`, `2 * (up + 1)`},
+		{`1 - (up - 1)`, `1 - up - 1`},
+		{`1 - up - 1`, `1 - (up - 1)`},
+	} {
+		split := NewEngine(db)
+		split.SetFrontend(frontend.New(frontend.Config{
+			SplitInterval: time.Minute,
+			Now:           func() time.Time { return time.Unix(100_000, 0) },
+		}))
+		for _, q := range pair {
+			want, err := mono.QueryRange(q, 60_000, 540_000, 30*time.Second)
+			if err != nil {
+				t.Fatalf("%s: monolithic: %v", q, err)
+			}
+			got, err := split.QueryRange(q, 60_000, 540_000, 30*time.Second)
+			if err != nil {
+				t.Fatalf("%s: frontend: %v", q, err)
+			}
+			if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", got) {
+				t.Errorf("%s after %s: frontend result differs\nmono:     %+v\nfrontend: %+v", q, pair[0], want, got)
+			}
+		}
+	}
+}

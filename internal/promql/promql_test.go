@@ -90,6 +90,33 @@ func TestInstantSelector(t *testing.T) {
 	}
 }
 
+// TestStringEscapes pins the string-escape rule PromQL shares with
+// LogQL: \n and \t decode, and an unknown escape keeps its backslash,
+// so a regexp's escaped dot still matches only a dot.
+func TestStringEscapes(t *testing.T) {
+	db, eng := setupDB(t)
+	app(t, db, "up", []string{"a", "xzy"}, 1000, 1)
+	app(t, db, "up", []string{"a", "x.y"}, 1000, 2)
+	vec, err := eng.Query(`up{a=~"x\.y"}`, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vec) != 1 || vec[0].Labels.Get("a") != "x.y" {
+		t.Errorf(`up{a=~"x\.y"} = %+v, want only a="x.y"`, vec)
+	}
+	e, err := Parse(`up{a="x\ny"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.String(); got != `up{a="x\ny"}` {
+		t.Fatalf("String() = %s", got)
+	}
+	app(t, db, "up", []string{"a", "x\ny"}, 1000, 3)
+	if vec, err = eng.Query(`up{a="x\ny"}`, 2000); err != nil || len(vec) != 1 || vec[0].V != 3 {
+		t.Fatalf(`up{a="x\ny"} = %+v, %v; want the series whose label holds a newline`, vec, err)
+	}
+}
+
 func TestStaleness(t *testing.T) {
 	db, eng := setupDB(t)
 	app(t, db, "up", nil, 1000, 1)

@@ -38,13 +38,15 @@ GOMAXPROCS=2 go test -race -run 'TestDurable|TestTSDB|TestCrashImage|TestCheckpo
 # Fuzz smoke: ten seconds of each byte-facing reader of the durable
 # directory (frame, record header + store codecs, checkpoint document +
 # rows), of the query differential oracle (random LogQL/PromQL queries
-# against a naive evaluator) and of the query API's time/step parameter
-# parser, one target at a time. New corpus entries go
+# against a naive evaluator), of the shared query grammar's round trip
+# (no panic; every accepted query's String() re-parses to the same tree
+# and renders to itself, in both languages) and of the query API's
+# time/step parameter parser, one target at a time. New corpus entries go
 # to the build cache, not the tree; only a failing input is written under
 # testdata/. The targets run worker pools per input, so their coverage is
 # never exactly repeatable and the default minimizer would spend the
 # whole budget re-running one input: it is turned off.
-for spec in FuzzWALDecode:wal FuzzRecordDecode:wal FuzzCheckpointRows:wal FuzzQueryDifferential:frontend FuzzQueryParams:frontend; do
+for spec in FuzzWALDecode:wal FuzzRecordDecode:wal FuzzCheckpointRows:wal FuzzQueryDifferential:frontend FuzzParseRoundTrip:frontend FuzzQueryParams:frontend; do
   target=${spec%%:*}
   go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s -fuzzminimizetime=0 "./internal/${spec#*:}/"
 done
