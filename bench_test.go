@@ -108,7 +108,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 	limits := loki.DefaultLimits()
 	limits.Shards = 4
 	seed := loki.NewStore(limits)
-	if _, err := seed.EnableDurability(dir, wal.StoreOptions{}); err != nil {
+	if _, err := seed.EnableDurability(dir, wal.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	gen := syslogd.NewGenerator(9, benchHosts(streams)...)
@@ -127,7 +127,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := loki.NewStore(limits)
-		info, err := st.EnableDurability(dir, wal.StoreOptions{})
+		info, err := st.EnableDurability(dir, wal.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

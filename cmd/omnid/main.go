@@ -58,6 +58,7 @@ import (
 	"shastamon/internal/core"
 	"shastamon/internal/experiments"
 	"shastamon/internal/frontend"
+	"shastamon/internal/omni"
 	"shastamon/internal/ruler"
 	"shastamon/internal/shasta"
 	"shastamon/internal/syslogd"
@@ -77,7 +78,6 @@ func main() {
 	metaAlerts := flag.Bool("meta-alerts", false, "evaluate the built-in self-monitoring rule pack (SLO burn, stuck breakers, DLQ growth, stage errors, scrape staleness)")
 	dataDir := flag.String("data-dir", "", "durable warehouse directory (WAL, sealed-chunk spill, checkpoints); empty runs memory-only")
 	walFsync := flag.String("wal-fsync", "interval", "WAL fsync policy: always (sync every append), interval (lazy, default), never")
-	walSegment := flag.Int("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = 4 MiB default)")
 	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "how often the tick checkpoints the stores to bound WAL replay")
 	splitInterval := flag.Duration("split-interval", 0, "query frontend time-split interval (0 = 5m default, negative disables splitting)")
 	cacheBytes := flag.Int("result-cache-bytes", 0, "query results cache budget in bytes (0 = 32 MiB default, negative disables)")
@@ -128,20 +128,19 @@ func main() {
 		MetricRules:  metricRules,
 		GroupWait:    time.Second,
 		MetaAlerts:   *metaAlerts,
-		TenantLimits: overrides,
 		TenantTokens: tenantTokens,
-		DataDir:      *dataDir,
-		WAL: wal.StoreOptions{Options: wal.Options{
-			Fsync:        fsync,
-			SegmentBytes: *walSegment,
-		}},
-		CheckpointEvery: *checkpointEvery,
-		Frontend: frontend.Config{
-			SplitInterval: *splitInterval,
-			CacheBytes:    *cacheBytes,
-			MaxConcurrent: *queryConcurrency,
-			MaxQueueDepth: *queryQueueDepth,
-			NoShardFanout: *noShardFanout,
+		Warehouse: omni.Config{
+			DataDir:         *dataDir,
+			WAL:             wal.Options{Fsync: fsync},
+			CheckpointEvery: *checkpointEvery,
+			Frontend: frontend.Config{
+				SplitInterval: *splitInterval,
+				CacheBytes:    *cacheBytes,
+				MaxConcurrent: *queryConcurrency,
+				MaxQueueDepth: *queryQueueDepth,
+				NoShardFanout: *noShardFanout,
+			},
+			TenantOverrides: overrides,
 		},
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"shastamon/internal/anomaly"
 	"shastamon/internal/core"
+	"shastamon/internal/frontend"
 	"shastamon/internal/kafka"
 	"shastamon/internal/stats"
 	"shastamon/internal/tenant"
@@ -65,7 +66,7 @@ func newStatusMux(p *core.Pipeline, o serverOpts) *http.ServeMux {
 	mux.Handle("/api/v1/heatmap", o.auth.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		since, step := 30*time.Minute, 2*time.Minute
 		if s := r.URL.Query().Get("since"); s != "" {
-			d, err := time.ParseDuration(s)
+			d, err := frontend.ParseDuration(s)
 			if err != nil {
 				http.Error(w, "since: want a positive duration like 30m", http.StatusBadRequest)
 				return
@@ -73,7 +74,7 @@ func newStatusMux(p *core.Pipeline, o serverOpts) *http.ServeMux {
 			since = d
 		}
 		if s := r.URL.Query().Get("step"); s != "" {
-			d, err := time.ParseDuration(s)
+			d, err := frontend.ParseDuration(s)
 			if err != nil {
 				http.Error(w, "step: want a positive duration like 2m", http.StatusBadRequest)
 				return

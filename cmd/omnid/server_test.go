@@ -15,6 +15,7 @@ import (
 	"shastamon/internal/core"
 	"shastamon/internal/labels"
 	"shastamon/internal/loki"
+	"shastamon/internal/omni"
 	"shastamon/internal/shasta"
 	"shastamon/internal/stats"
 	"shastamon/internal/tenant"
@@ -130,7 +131,7 @@ func TestQueryLogsStatusCodes(t *testing.T) {
 // a client error: a query killed by the timeout guardrail returns 504.
 func TestQueryLogsEngineTimeoutIs504(t *testing.T) {
 	p := testPipeline(t, core.Options{
-		LokiLimits: loki.Limits{QueryTimeout: time.Nanosecond},
+		Warehouse: omni.Config{QueryLimits: stats.Config{Timeout: time.Nanosecond}},
 	})
 	mustTickAt(t, p, time.Date(2022, 3, 3, 1, 46, 0, 0, time.UTC))
 	mux := newStatusMux(p, serverOpts{})
@@ -175,6 +176,19 @@ func TestHeatmapWindowValidation(t *testing.T) {
 	}
 	if rr := get(t, mux, `/api/v1/heatmap?step=-2m`, nil); rr.Code != http.StatusBadRequest {
 		t.Fatalf("negative step: %d, want 400", rr.Code)
+	}
+	// since and step speak the query languages' duration grammar, which
+	// adds d and w to Go's and so still reads logcli's time.Duration
+	// encoding.
+	for _, q := range []string{`since=1d&step=1h`, `since=1w&step=1d`, `since=30m0s&step=2m0s`} {
+		if rr := get(t, mux, `/api/v1/heatmap?`+q, nil); rr.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s, want 200", q, rr.Code, rr.Body.String())
+		}
+	}
+	for _, q := range []string{`since=0s`, `since=-1d`, `step=0d`, `step=2x`, `since=1d2`} {
+		if rr := get(t, mux, `/api/v1/heatmap?`+q, nil); rr.Code != http.StatusBadRequest {
+			t.Fatalf("%s: %d, want 400", q, rr.Code)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"shastamon/internal/hms"
 	"shastamon/internal/loki"
+	"shastamon/internal/omni"
 	"shastamon/internal/redfish"
 	"shastamon/internal/ruler"
 	"shastamon/internal/servicenow"
@@ -350,7 +351,7 @@ func TestLeakResolutionFlows(t *testing.T) {
 
 // Retention: data older than the horizon is dropped on Tick.
 func TestRetentionOnTick(t *testing.T) {
-	p := newPipeline(t, Options{Retention: time.Hour})
+	p := newPipeline(t, Options{Warehouse: omni.Config{Retention: time.Hour}})
 	t0 := time.Date(2022, 3, 3, 0, 0, 0, 0, time.UTC)
 	_ = p.Warehouse.IngestLogs([]loki.PushStream{{
 		Labels:  FabricEventLabels("perlmutter"),

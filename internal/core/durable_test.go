@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"shastamon/internal/chaos"
+	"shastamon/internal/omni"
 	"shastamon/internal/ruler"
 	"shastamon/internal/wal"
 )
@@ -59,9 +60,8 @@ func copyTree(t *testing.T, src, dst string) {
 func TestCrashRecoveryPipeline(t *testing.T) {
 	dir := t.TempDir()
 	p := newPipeline(t, Options{
-		LogRules: []ruler.Rule{leakRule},
-		DataDir:  dir,
-		WAL:      wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}},
+		LogRules:  []ruler.Rule{leakRule},
+		Warehouse: omni.Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncAlways}},
 	})
 	t0 := time.Date(2022, 3, 3, 1, 46, 0, 0, time.UTC)
 	mustTick(t, p, t0)
@@ -86,7 +86,7 @@ func TestCrashRecoveryPipeline(t *testing.T) {
 	crashDir := t.TempDir()
 	copyTree(t, dir, crashDir)
 
-	p2 := newPipeline(t, Options{LogRules: []ruler.Rule{leakRule}, DataDir: crashDir})
+	p2 := newPipeline(t, Options{LogRules: []ruler.Rule{leakRule}, Warehouse: omni.Config{DataDir: crashDir}})
 	rec, ok := p2.Warehouse.Recovery()
 	if !ok || rec.Logs.Clean || rec.Metrics.Clean || rec.Replayed() == 0 {
 		t.Fatalf("expected dirty recovery with replay: %+v (ok=%v)", rec, ok)
@@ -115,7 +115,7 @@ func TestCrashRecoveryPipeline(t *testing.T) {
 // all data intact.
 func TestCrashRecoveryCleanRestart(t *testing.T) {
 	dir := t.TempDir()
-	p, err := New(Options{Cluster: smallCluster(), DataDir: dir})
+	p, err := New(Options{Cluster: smallCluster(), Warehouse: omni.Config{DataDir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCrashRecoveryCleanRestart(t *testing.T) {
 	wantStats := p.Warehouse.Stats()
 	p.Close() // Close flushes durable state and writes CLEAN
 
-	p2 := newPipeline(t, Options{DataDir: dir})
+	p2 := newPipeline(t, Options{Warehouse: omni.Config{DataDir: dir}})
 	rec, _ := p2.Warehouse.Recovery()
 	if !rec.Logs.Clean || !rec.Metrics.Clean || rec.Replayed() != 0 {
 		t.Fatalf("clean restart should skip replay: %+v", rec)
@@ -150,13 +150,12 @@ func TestWALDegradedMetaAlert(t *testing.T) {
 	p := newPipeline(t, Options{
 		LogRules:   []ruler.Rule{leakRule},
 		MetaAlerts: true,
-		DataDir:    dir,
-		WAL: wal.StoreOptions{
-			Options:          wal.Options{Fsync: wal.FsyncAlways, WrapWriter: inj.WriterWrapper("disk.write")},
-			BreakerThreshold: 2,
-			BreakerOpenFor:   10 * time.Second,
+		Warehouse: omni.Config{
+			DataDir: dir,
+			WAL:     wal.Options{Fsync: wal.FsyncAlways, WrapWriter: inj.WriterWrapper("disk.write")},
+			// Keep the checkpoint stage out of the fault window.
+			CheckpointEvery: time.Hour,
 		},
-		CheckpointEvery: time.Hour, // keep the checkpoint stage out of the fault window
 	})
 	t0 := time.Date(2022, 3, 3, 3, 0, 0, 0, time.UTC)
 	mustTick(t, p, t0)

@@ -10,6 +10,7 @@ import (
 	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 	"shastamon/internal/loki"
+	"shastamon/internal/omni"
 	"shastamon/internal/stats"
 )
 
@@ -22,7 +23,7 @@ import (
 func TestMetaAlertQueryQueueSaturated(t *testing.T) {
 	p := newPipeline(t, Options{
 		MetaAlerts: true,
-		Frontend:   frontend.Config{MaxConcurrent: 1, MaxQueueDepth: -1},
+		Warehouse:  omni.Config{Frontend: frontend.Config{MaxConcurrent: 1, MaxQueueDepth: -1}},
 	})
 	base := time.Date(2022, 3, 3, 1, 0, 0, 0, time.UTC)
 	mustTick(t, p, base)
@@ -85,7 +86,7 @@ func TestMetaAlertQueryCacheThrash(t *testing.T) {
 	p := newPipeline(t, Options{
 		MetaAlerts: true,
 		// A few hundred bytes: every cached split evicts a predecessor.
-		Frontend: frontend.Config{CacheBytes: 512},
+		Warehouse: omni.Config{Frontend: frontend.Config{CacheBytes: 512}},
 	})
 	base := time.Date(2022, 3, 3, 1, 0, 0, 0, time.UTC)
 	mustTick(t, p, base)

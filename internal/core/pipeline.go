@@ -19,7 +19,6 @@ import (
 	"shastamon/internal/chunkenc"
 	"shastamon/internal/exporters"
 	"shastamon/internal/fabricmgr"
-	"shastamon/internal/frontend"
 	"shastamon/internal/hms"
 	"shastamon/internal/kafka"
 	"shastamon/internal/labels"
@@ -35,10 +34,8 @@ import (
 	"shastamon/internal/slack"
 	"shastamon/internal/syslogd"
 	"shastamon/internal/telemetry"
-	"shastamon/internal/tenant"
 	"shastamon/internal/vmagent"
 	"shastamon/internal/vmalert"
-	"shastamon/internal/wal"
 )
 
 // Options configure a Pipeline. Zero values take the defaults documented
@@ -49,15 +46,13 @@ type Options struct {
 	Cluster shasta.Config
 	// Token is the telemetry API bearer token ("" disables auth).
 	Token string
-	// Retention bounds warehouse history (default: 2 years, OMNI's horizon).
-	Retention time.Duration
-	// WarehouseShards stripes the warehouse stores over this many lock
-	// shards (0 = GOMAXPROCS); see omni.Config.Shards.
-	WarehouseShards int
-	// LokiLimits configures the warehouse log store, including the
-	// query-path guardrails (MaxBytesScanned, QueryTimeout,
-	// SlowQuerySeconds). Zero takes loki.DefaultLimits.
-	LokiLimits loki.Limits
+	// Warehouse configures the OMNI warehouse: retention, the log store's
+	// limits, the durable directory and its WALs, the query frontend,
+	// per-tenant limits and the per-query limits. New defaults Retention
+	// to two years (OMNI's horizon) and wires the pipeline clock into
+	// WAL.Now and Frontend.Now unless they are set, so breaker windows
+	// and mutable-head freshness track simulated time in experiments.
+	Warehouse omni.Config
 	// LogRules are Loki Ruler alerting rules.
 	LogRules []ruler.Rule
 	// MetricRules are vmalert alerting rules.
@@ -72,8 +67,6 @@ type Options struct {
 	Inhibit []alertmanager.InhibitRule
 	// GroupWait for the default route (default 0 for responsive tests).
 	GroupWait time.Duration
-	// TraceCapacity bounds the event tracer's ring buffer (default 512).
-	TraceCapacity int
 	// Chaos, when set, wires the fault injector into the pipeline's
 	// dependency boundaries: kafka produces ("kafka.produce"), the
 	// telemetry API transport ("telemetry.http"), warehouse ingestion
@@ -88,26 +81,6 @@ type Options struct {
 	// breakers stuck open, DLQ growth, stage errors, scrape staleness)
 	// through the same Alertmanager -> Slack path as hardware alerts.
 	MetaAlerts bool
-	// DataDir, when set, makes the warehouse durable: both stores write
-	// per-shard WALs, spill sealed chunks and checkpoint under this
-	// directory, and New recovers whatever a previous run left there.
-	DataDir string
-	// WAL tunes the write-ahead logs when DataDir is set (fsync policy,
-	// segment size, degradation breaker). The breaker clock is wired to
-	// the pipeline clock unless already set.
-	WAL wal.StoreOptions
-	// CheckpointEvery bounds WAL replay (default 1m); the tick's
-	// "checkpoint" stage snapshots the stores at most this often.
-	CheckpointEvery time.Duration
-	// Frontend tunes the warehouse query frontend (time splitting,
-	// results cache, admission control). The frontend clock is wired to
-	// the pipeline clock unless already set, so mutable-head freshness
-	// tracks simulated time in experiments.
-	Frontend frontend.Config
-	// TenantLimits supplies per-tenant warehouse limits (stream/series
-	// counts, ingest rate, chunk-cache share, query concurrency); nil
-	// keeps single-tenant behaviour.
-	TenantLimits *tenant.Overrides
 	// TenantTokens maps bearer tokens to tenant IDs on the telemetry
 	// API, alongside the single shared Token. Empty adds none.
 	TenantTokens map[string]string
@@ -204,6 +177,9 @@ func serve(handler http.Handler) (*http.Server, string, error) {
 	return srv, "http://" + l.Addr().String(), nil
 }
 
+// traceCapacity bounds the event tracer's ring of recent traces.
+const traceCapacity = 256
+
 // New assembles the full pipeline, starting loopback HTTP servers for the
 // Telemetry API, the fabric manager, the exporters, Slack and ServiceNow.
 // Callers must Close it.
@@ -211,8 +187,8 @@ func New(opts Options) (*Pipeline, error) {
 	if opts.Cluster.Name == "" {
 		opts.Cluster = shasta.DefaultConfig()
 	}
-	if opts.Retention == 0 {
-		opts.Retention = 2 * 365 * 24 * time.Hour
+	if opts.Warehouse.Retention == 0 {
+		opts.Warehouse.Retention = 2 * 365 * 24 * time.Hour
 	}
 	p := &Pipeline{}
 	fail := func(err error) (*Pipeline, error) {
@@ -220,7 +196,7 @@ func New(opts Options) (*Pipeline, error) {
 		return nil, err
 	}
 
-	p.Tracer = obs.NewTracer(opts.TraceCapacity)
+	p.Tracer = obs.NewTracer(traceCapacity)
 	p.obsReg = obs.NewRegistry()
 	p.tickDur = p.obsReg.Histogram(obs.Namespace+"core_tick_duration_seconds",
 		"Wall time of one full pipeline tick.", obs.DefBuckets)
@@ -317,17 +293,13 @@ func New(opts Options) (*Pipeline, error) {
 	p.Collector.SetTracer(p.Tracer)
 	// Breaker open windows must track simulated time in experiments, like
 	// the notifier breakers below.
-	if opts.WAL.Now == nil {
-		opts.WAL.Now = p.Now
+	if opts.Warehouse.WAL.Now == nil {
+		opts.Warehouse.WAL.Now = p.Now
 	}
-	if opts.Frontend.Now == nil {
-		opts.Frontend.Now = p.Now
+	if opts.Warehouse.Frontend.Now == nil {
+		opts.Warehouse.Frontend.Now = p.Now
 	}
-	if p.Warehouse, err = omni.Open(omni.Config{
-		Retention: opts.Retention, Shards: opts.WarehouseShards, LokiLimits: opts.LokiLimits,
-		DataDir: opts.DataDir, WAL: opts.WAL, CheckpointEvery: opts.CheckpointEvery,
-		Frontend: opts.Frontend, TenantOverrides: opts.TenantLimits,
-	}); err != nil {
+	if p.Warehouse, err = omni.Open(opts.Warehouse); err != nil {
 		return fail(err)
 	}
 	if opts.Chaos != nil {

@@ -11,6 +11,7 @@ import (
 
 	"shastamon/internal/labels"
 	"shastamon/internal/loki"
+	"shastamon/internal/omni"
 	"shastamon/internal/stats"
 )
 
@@ -29,14 +30,14 @@ func pushFatCorpus(t *testing.T, p *Pipeline, base time.Time) {
 }
 
 // TestMetaAlertQueryLimitBreached is the issue's acceptance scenario: a
-// query blowing through Limits.MaxBytesScanned is cancelled mid-scan,
+// query blowing through QueryLimits.MaxBytesScanned is cancelled mid-scan,
 // shows up on /debug/slowlog with reason "bytes", and the
 // ShastamonQueryLimitBreached meta-rule carries the breach through the
 // normal vmalert -> Alertmanager -> Slack path.
 func TestMetaAlertQueryLimitBreached(t *testing.T) {
 	p := newPipeline(t, Options{
 		MetaAlerts: true,
-		LokiLimits: loki.Limits{MaxBytesScanned: 32 << 10},
+		Warehouse:  omni.Config{QueryLimits: stats.Config{MaxBytesScanned: 32 << 10}},
 	})
 	base := time.Date(2022, 3, 3, 1, 0, 0, 0, time.UTC)
 	mustTick(t, p, base)

@@ -11,6 +11,7 @@ import (
 	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 	"shastamon/internal/loki"
+	"shastamon/internal/omni"
 	"shastamon/internal/ruler"
 	"shastamon/internal/stats"
 	"shastamon/internal/tenant"
@@ -26,15 +27,17 @@ import (
 func TestChaosNoisyNeighborTenant(t *testing.T) {
 	p := newPipeline(t, Options{
 		LogRules: []ruler.Rule{leakRule},
-		Frontend: frontend.Config{MaxConcurrent: 8, MaxQueueDepth: -1},
-		TenantLimits: &tenant.Overrides{PerTenant: map[string]tenant.Limits{
-			"flood": {
-				MaxStreams:          8,
-				IngestRateBytes:     4096,
-				IngestBurstBytes:    4096,
-				MaxQueryConcurrency: 1,
-			},
-		}},
+		Warehouse: omni.Config{
+			Frontend: frontend.Config{MaxConcurrent: 8, MaxQueueDepth: -1},
+			TenantOverrides: &tenant.Overrides{PerTenant: map[string]tenant.Limits{
+				"flood": {
+					MaxStreams:          8,
+					IngestRateBytes:     4096,
+					IngestBurstBytes:    4096,
+					MaxQueryConcurrency: 1,
+				},
+			}},
+		},
 	})
 	t0 := time.Date(2022, 3, 3, 1, 46, 0, 0, time.UTC)
 	mustTick(t, p, t0)

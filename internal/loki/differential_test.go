@@ -495,7 +495,7 @@ func (d *diffLoki) reopen(t *testing.T, dir string) {
 		Shards:          diffStripes,
 		TenantOverrides: diffOverrides,
 	})
-	if _, err := d.s.EnableDurability(dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncNever}}); err != nil {
+	if _, err := d.s.EnableDurability(dir, wal.Options{Fsync: wal.FsyncNever}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -613,7 +613,7 @@ type diffTSDB struct{ db *tsdb.DB }
 func (d *diffTSDB) reopen(t *testing.T, dir string) {
 	d.db = tsdb.NewSharded(diffStripes)
 	d.db.SetTenantOverrides(diffOverrides)
-	if _, err := d.db.EnableDurability(dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncNever}}); err != nil {
+	if _, err := d.db.EnableDurability(dir, wal.Options{Fsync: wal.FsyncNever}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -37,7 +37,7 @@ const chunksDirName = "chunks"
 type durability struct {
 	*wal.Durable
 	chunks   string // spill directory
-	opt      wal.StoreOptions
+	opt      wal.Options
 	chunkSeq atomic.Int64
 }
 
@@ -62,7 +62,7 @@ type ckptFile struct {
 // EnableDurability attaches a WAL + checkpoint + spill directory to the
 // store and runs recovery from whatever dir already holds. It must be
 // called before any pushes. The breaker name is "wal:logs".
-func (s *Store) EnableDurability(dir string, opt wal.StoreOptions) (RecoveryInfo, error) {
+func (s *Store) EnableDurability(dir string, opt wal.Options) (RecoveryInfo, error) {
 	if s.dur != nil {
 		return RecoveryInfo{}, fmt.Errorf("loki: durability already enabled")
 	}

@@ -63,7 +63,7 @@ func selectAll(t *testing.T, s *Store) []SelectedStream {
 	return out
 }
 
-func openDurable(t *testing.T, dir string, opt wal.StoreOptions) (*Store, RecoveryInfo) {
+func openDurable(t *testing.T, dir string, opt wal.Options) (*Store, RecoveryInfo) {
 	t.Helper()
 	s := NewStore(durableLimits())
 	info, err := s.EnableDurability(dir, opt)
@@ -94,7 +94,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	batches := testBatches(6, 120)
 
-	s1, info := openDurable(t, dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}})
+	s1, info := openDurable(t, dir, wal.Options{Fsync: wal.FsyncAlways})
 	if info.Checkpoint || info.Clean || info.Replayed != 0 {
 		t.Fatalf("fresh dir recovery: %+v", info)
 	}
@@ -104,7 +104,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	ref := NewStore(durableLimits())
 	pushAll(t, ref, batches)
 
-	s2, info := openDurable(t, dir, wal.StoreOptions{})
+	s2, info := openDurable(t, dir, wal.Options{})
 	if info.Clean || info.Replayed == 0 {
 		t.Fatalf("crash recovery: %+v", info)
 	}
@@ -119,7 +119,7 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	batches := testBatches(4, 200)
 	half := len(batches) / 2
 
-	s1, _ := openDurable(t, dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}})
+	s1, _ := openDurable(t, dir, wal.Options{Fsync: wal.FsyncAlways})
 	pushAll(t, s1, batches[:half])
 	if err := s1.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -134,7 +134,7 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	ref := NewStore(durableLimits())
 	pushAll(t, ref, batches)
 
-	s2, info := openDurable(t, dir, wal.StoreOptions{})
+	s2, info := openDurable(t, dir, wal.Options{})
 	if !info.Checkpoint {
 		t.Fatal("checkpoint not restored")
 	}
@@ -150,7 +150,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
 	batches := testBatches(4, 100)
 
-	s1, _ := openDurable(t, dir, wal.StoreOptions{})
+	s1, _ := openDurable(t, dir, wal.Options{})
 	pushAll(t, s1, batches)
 	if err := s1.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -162,7 +162,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 	ref := NewStore(durableLimits())
 	pushAll(t, ref, batches)
 
-	s2, info := openDurable(t, dir, wal.StoreOptions{})
+	s2, info := openDurable(t, dir, wal.Options{})
 	if !info.Clean || info.Replayed != 0 {
 		t.Fatalf("clean restart replayed WAL: %+v", info)
 	}
@@ -181,7 +181,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 // the clean restart has to survive the second recovery.
 func TestDurableCrashAfterCleanRestart(t *testing.T) {
 	dir := t.TempDir()
-	always := wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}
+	always := wal.Options{Fsync: wal.FsyncAlways}
 	batches := testBatches(4, 100)
 	half := len(batches) / 2
 
@@ -201,7 +201,7 @@ func TestDurableCrashAfterCleanRestart(t *testing.T) {
 	ref := NewStore(durableLimits())
 	pushAll(t, ref, batches)
 
-	s3, info := openDurable(t, dir, wal.StoreOptions{})
+	s3, info := openDurable(t, dir, wal.Options{})
 	if info.Clean || info.Replayed != half*4 {
 		t.Fatalf("post-clean-restart crash recovery: %+v (want %d replayed)", info, half*4)
 	}
@@ -215,7 +215,7 @@ func TestDurableTornTail(t *testing.T) {
 	dir := t.TempDir()
 	batches := testBatches(3, 60)
 
-	s1, _ := openDurable(t, dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}})
+	s1, _ := openDurable(t, dir, wal.Options{Fsync: wal.FsyncAlways})
 	pushAll(t, s1, batches)
 
 	// Tear the tail of every shard's last segment.
@@ -239,7 +239,7 @@ func TestDurableTornTail(t *testing.T) {
 	ref := NewStore(durableLimits())
 	pushAll(t, ref, batches)
 
-	s2, _ := openDurable(t, dir, wal.StoreOptions{})
+	s2, _ := openDurable(t, dir, wal.Options{})
 	if got := s2.WALStats().Corrupt; got < int64(torn) {
 		t.Fatalf("corrupt records counted = %d, want >= %d", got, torn)
 	}
@@ -258,15 +258,11 @@ func TestDurableDiskFaultDegrades(t *testing.T) {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
-	opt := wal.StoreOptions{
-		Options: wal.Options{
-			Fsync:      wal.FsyncAlways,
-			WrapWriter: inj.WriterWrapper("disk.write"),
-			FaultHook:  inj.HookFor("disk.fault"),
-			Now:        clock,
-		},
-		BreakerThreshold: 3,
-		BreakerOpenFor:   10 * time.Second,
+	opt := wal.Options{
+		Fsync:      wal.FsyncAlways,
+		WrapWriter: inj.WriterWrapper("disk.write"),
+		FaultHook:  inj.HookFor("disk.fault"),
+		Now:        clock,
 	}
 	s, _ := openDurable(t, dir, opt)
 	batches := testBatches(2, 100)
@@ -306,7 +302,7 @@ func TestDurableDiskFaultDegrades(t *testing.T) {
 // may still be faulting payloads from it), and that checkpoint removes it.
 func TestDurableRetentionRemovesSpills(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openDurable(t, dir, wal.StoreOptions{})
+	s, _ := openDurable(t, dir, wal.Options{})
 	pushAll(t, s, testBatches(3, 150))
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -368,7 +364,7 @@ func TestGCSpillsSkipsNewerThanMark(t *testing.T) {
 // concurrent pushers to overlapping streams while a checkpointer runs.
 func TestDurableConcurrentPush(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openDurable(t, dir, wal.StoreOptions{})
+	s, _ := openDurable(t, dir, wal.Options{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -397,7 +393,7 @@ func TestDurableConcurrentPush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, _ := openDurable(t, dir, wal.StoreOptions{})
+	s2, _ := openDurable(t, dir, wal.Options{})
 	if got := s2.Stats().Entries; got != 4*200 {
 		t.Fatalf("recovered %d entries, want %d", got, 4*200)
 	}

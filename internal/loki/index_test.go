@@ -50,7 +50,7 @@ func TestRecoverySkipsInvalidLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, info := openDurable(t, dir, wal.StoreOptions{})
+	s, info := openDurable(t, dir, wal.Options{})
 	if !info.Checkpoint || info.Corrupt != 2 || info.Replayed != 1 {
 		t.Fatalf("recovery = %+v, want checkpoint, 2 corrupt, 1 replayed", info)
 	}

@@ -46,7 +46,6 @@ type Limits struct {
 	MaxLabelNamesPerStream int // 0 = default 15
 	MaxLineSize            int // bytes, 0 = default 256 KiB
 	MaxStreams             int // 0 = unlimited; exact across shards
-	RejectOldSamples       bool
 	ChunkOptions           chunkenc.Options
 
 	// Shards is the number of lock stripes streams are spread over by
@@ -56,17 +55,6 @@ type Limits struct {
 	// (decoded) bytes: 0 = chunkenc.DefaultCacheBytes, negative disables
 	// the cache entirely.
 	ChunkCacheBytes int
-
-	// MaxBytesScanned cancels any tracked query whose cumulative scanned
-	// bytes exceed the budget (Loki's max_query_bytes_read); 0 = unlimited.
-	// Enforced by the stats.Tracker the warehouse arms per query.
-	MaxBytesScanned int64
-	// QueryTimeout cancels any tracked query running longer than this;
-	// 0 = no timeout.
-	QueryTimeout time.Duration
-	// SlowQuerySeconds is the /debug/slowlog threshold: tracked queries at
-	// least this slow are recorded. 0 disables duration-based slowlogging.
-	SlowQuerySeconds float64
 
 	// TenantOverrides resolve per-tenant quotas (stream caps, ingest
 	// rate, chunk-cache share). nil = no per-tenant bounds; the store-wide

@@ -222,7 +222,7 @@ func TestDurableTenantRoundTrip(t *testing.T) {
 	ls := labels.FromStrings("app", "fm")
 
 	s1 := NewStore(durableLimits())
-	if _, err := s1.EnableDurability(dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}); err != nil {
+	if _, err := s1.EnableDurability(dir, wal.Options{Fsync: wal.FsyncAlways}); err != nil {
 		t.Fatal(err)
 	}
 	pushAs(t, s1, "hpc-a", ls, Entry{1e9, "a pre-ckpt"})
@@ -235,7 +235,7 @@ func TestDurableTenantRoundTrip(t *testing.T) {
 	// Crash: no Shutdown.
 
 	s2 := NewStore(durableLimits())
-	info, err := s2.EnableDurability(dir, wal.StoreOptions{})
+	info, err := s2.EnableDurability(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestDurableTenantRoundTrip(t *testing.T) {
 // leaves shastamon_loki_tenant_entries_total at 0 (clean) or at the WAL
 // tail (crash) beside a store total of N.
 func TestDurableTenantRoundTripCounters(t *testing.T) {
-	always := wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}
+	always := wal.Options{Fsync: wal.FsyncAlways}
 	for _, tc := range []struct {
 		name string
 		end  func(t *testing.T, s *Store) // how the first life ends
@@ -307,7 +307,7 @@ func TestDurableTenantRoundTripCounters(t *testing.T) {
 			want := s1.TenantStats()
 
 			s2 := NewStore(durableLimits())
-			info, err := s2.EnableDurability(dir, wal.StoreOptions{})
+			info, err := s2.EnableDurability(dir, wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

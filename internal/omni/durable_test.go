@@ -19,7 +19,7 @@ import (
 	"shastamon/internal/wal"
 )
 
-func durableConfig(dir string, opt wal.StoreOptions) Config {
+func durableConfig(dir string, opt wal.Options) Config {
 	limits := loki.DefaultLimits()
 	limits.ChunkOptions = chunkenc.Options{BlockSize: 512, TargetSize: 4 * 1024}
 	return Config{
@@ -77,7 +77,7 @@ func mustOpen(t *testing.T, cfg Config) *Warehouse {
 // byte-identical query results plus resynced ingest counters.
 func TestCrashRecoveryWarehouse(t *testing.T) {
 	dir := t.TempDir()
-	w1 := mustOpen(t, durableConfig(dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}))
+	w1 := mustOpen(t, durableConfig(dir, wal.Options{Fsync: wal.FsyncAlways}))
 	if rec, ok := w1.Recovery(); !ok || rec.Replayed() != 0 {
 		t.Fatalf("fresh dir recovery: %+v %v", rec, ok)
 	}
@@ -86,7 +86,7 @@ func TestCrashRecoveryWarehouse(t *testing.T) {
 	wantStats := w1.Stats()
 
 	// No Shutdown: the directory is exactly what a SIGKILL leaves.
-	w2 := mustOpen(t, durableConfig(dir, wal.StoreOptions{}))
+	w2 := mustOpen(t, durableConfig(dir, wal.Options{}))
 	rec, _ := w2.Recovery()
 	if rec.Logs.Clean || rec.Metrics.Clean || rec.Replayed() == 0 {
 		t.Fatalf("expected dirty recovery with replay: %+v", rec)
@@ -121,7 +121,7 @@ func TestCrashRecoveryWarehouse(t *testing.T) {
 // and the corruption counter reports the dropped tail.
 func TestCrashRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w1 := mustOpen(t, durableConfig(dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}))
+	w1 := mustOpen(t, durableConfig(dir, wal.Options{Fsync: wal.FsyncAlways}))
 	fillWarehouse(t, w1, 200)
 
 	// Append garbage to the last segment of each logs shard — a torn
@@ -146,7 +146,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		f.Close()
 	}
 
-	w2 := mustOpen(t, durableConfig(dir, wal.StoreOptions{}))
+	w2 := mustOpen(t, durableConfig(dir, wal.Options{}))
 	rec, _ := w2.Recovery()
 	if rec.Logs.Corrupt == 0 {
 		t.Fatalf("corrupt tail not counted: %+v", rec)
@@ -167,7 +167,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 // next Open skips replay, and MaybeCheckpoint honours its interval.
 func TestCrashRecoveryCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir, wal.StoreOptions{})
+	cfg := durableConfig(dir, wal.Options{})
 	cfg.CheckpointEvery = time.Minute
 	w1 := mustOpen(t, cfg)
 	fillWarehouse(t, w1, 100)
@@ -199,7 +199,7 @@ func TestCrashRecoveryCleanShutdown(t *testing.T) {
 		}
 	}
 
-	w2 := mustOpen(t, durableConfig(dir, wal.StoreOptions{}))
+	w2 := mustOpen(t, durableConfig(dir, wal.Options{}))
 	rec, _ := w2.Recovery()
 	if !rec.Logs.Clean || !rec.Metrics.Clean || rec.Replayed() != 0 {
 		t.Fatalf("clean restart should skip replay: %+v", rec)
@@ -220,11 +220,7 @@ func TestCrashRecoveryDiskFaultDegrades(t *testing.T) {
 	now := time.Unix(9000, 0)
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 
-	w := mustOpen(t, durableConfig(dir, wal.StoreOptions{
-		Options:          wal.Options{Fsync: wal.FsyncAlways, WrapWriter: inj.WriterWrapper("disk.write"), Now: clock},
-		BreakerThreshold: 2,
-		BreakerOpenFor:   5 * time.Second,
-	}))
+	w := mustOpen(t, durableConfig(dir, wal.Options{Fsync: wal.FsyncAlways, WrapWriter: inj.WriterWrapper("disk.write"), Now: clock}))
 	fillWarehouse(t, w, 50)
 	inj.Set("disk.write", chaos.Fault{ErrProb: 1, Err: syscall.ENOSPC})
 	for e := 50; e < 120; e++ {
@@ -251,7 +247,7 @@ func TestCrashRecoveryDiskFaultDegrades(t *testing.T) {
 
 	inj.ClearAll()
 	mu.Lock()
-	now = now.Add(6 * time.Second)
+	now = now.Add(11 * time.Second)
 	mu.Unlock()
 	before := w.Logs.WALStats().Appends
 	for e := 120; e < 130; e++ {

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shastamon/internal/eventsearch"
 	"shastamon/internal/frontend"
 	"shastamon/internal/labels"
 	"shastamon/internal/logql"
@@ -35,16 +34,6 @@ type Config struct {
 	Retention time.Duration
 	// LokiLimits configures the log store.
 	LokiLimits loki.Limits
-	// IndexEvents additionally feeds ingested log lines into the
-	// Elasticsearch-style full-text index (OMNI is "backed by ...
-	// Elasticsearch and VictoriaMetrics"). Off by default: the label
-	// index is the hot path; full-text costs write-time work.
-	IndexEvents bool
-	// DownsampleAfter, when positive, replaces metric samples older than
-	// this horizon with DownsampleResolution averages during retention
-	// enforcement — how a two-year window stays affordable.
-	DownsampleAfter      time.Duration
-	DownsampleResolution time.Duration // default 5m
 	// Shards stripes both stores (log streams and metric series) over
 	// this many lock shards; 0 = GOMAXPROCS. An explicit
 	// LokiLimits.Shards wins for the log store.
@@ -55,9 +44,8 @@ type Config struct {
 	// checkpoints for both stores under DataDir/logs and DataDir/metrics.
 	// Empty keeps the warehouse memory-only (New ignores this field).
 	DataDir string
-	// WAL tunes the write-ahead logs and the disk-degradation breaker
-	// when DataDir is set.
-	WAL wal.StoreOptions
+	// WAL tunes the write-ahead logs when DataDir is set.
+	WAL wal.Options
 	// CheckpointEvery bounds WAL replay: MaybeCheckpoint snapshots both
 	// stores at most this often (default 1m).
 	CheckpointEvery time.Duration
@@ -75,13 +63,17 @@ type Config struct {
 	// explicit LokiLimits.TenantOverrides or Frontend.TenantOverrides
 	// wins for its layer.
 	TenantOverrides *tenant.Overrides
+
+	// QueryLimits arms every tracked warehouse query: the scanned-bytes
+	// budget, the timeout and the slowlog threshold. The zero value
+	// leaves queries unbounded.
+	QueryLimits stats.Config
 }
 
 // Warehouse is the OMNI façade.
 type Warehouse struct {
 	Logs    *loki.Store
 	Metrics *tsdb.DB
-	Events  *eventsearch.Index
 	LogQL   *logql.Engine
 	PromQL  *promql.Engine
 	// Tracker registers every warehouse query for per-query statistics,
@@ -92,10 +84,7 @@ type Warehouse struct {
 	// queries through; retention invalidates its results cache.
 	Frontend *frontend.Frontend
 
-	retention       time.Duration
-	indexEvents     bool
-	downsampleAfter time.Duration
-	downsampleRes   time.Duration
+	retention time.Duration
 
 	// Ingest accounting is lock-free: the ingest hot path only does
 	// atomic adds, keeping the 400k msgs/s accounting off the mutex the
@@ -142,26 +131,15 @@ func New(cfg Config) *Warehouse {
 	if cfg.TenantOverrides != nil {
 		metrics.SetTenantOverrides(cfg.TenantOverrides)
 	}
-	if cfg.DownsampleResolution <= 0 {
-		cfg.DownsampleResolution = 5 * time.Minute
-	}
 	w := &Warehouse{
-		Logs:            logs,
-		Metrics:         metrics,
-		Events:          eventsearch.New(),
-		LogQL:           logql.NewEngine(logs),
-		PromQL:          promql.NewEngine(metrics),
-		retention:       cfg.Retention,
-		indexEvents:     cfg.IndexEvents,
-		downsampleAfter: cfg.DownsampleAfter,
-		downsampleRes:   cfg.DownsampleResolution,
-		reg:             obs.NewRegistry(),
+		Logs:      logs,
+		Metrics:   metrics,
+		LogQL:     logql.NewEngine(logs),
+		PromQL:    promql.NewEngine(metrics),
+		retention: cfg.Retention,
+		reg:       obs.NewRegistry(),
 	}
-	w.Tracker = stats.NewTracker(w.reg, stats.Config{
-		MaxBytesScanned: cfg.LokiLimits.MaxBytesScanned,
-		Timeout:         cfg.LokiLimits.QueryTimeout,
-		SlowThreshold:   time.Duration(cfg.LokiLimits.SlowQuerySeconds * float64(time.Second)),
-	})
+	w.Tracker = stats.NewTracker(w.reg, cfg.QueryLimits)
 	w.LogQL.SetTracker(w.Tracker)
 	w.PromQL.SetTracker(w.Tracker)
 	w.Frontend = frontend.New(cfg.Frontend)
@@ -204,8 +182,8 @@ func (w *Warehouse) ingestFault(op string) error {
 	return (*p)(op)
 }
 
-// IngestLogs pushes log streams into the log store (and, when
-// IndexEvents is on, into the full-text index) under the default tenant.
+// IngestLogs pushes log streams into the log store under the default
+// tenant.
 func (w *Warehouse) IngestLogs(batch []loki.PushStream) error {
 	return w.IngestLogsTenant(tenant.DefaultID, batch)
 }
@@ -218,8 +196,7 @@ func (w *Warehouse) IngestLogsTenant(id string, batch []loki.PushStream) error {
 	}
 	err := w.Logs.PushTenant(id, batch)
 	if err != nil && errors.Is(err, loki.ErrRateLimited) {
-		// The whole batch was shed before ingestion: nothing to count or
-		// index.
+		// The whole batch was shed before ingestion: nothing to count.
 		return err
 	}
 	var n, bytes int64
@@ -227,12 +204,6 @@ func (w *Warehouse) IngestLogsTenant(id string, batch []loki.PushStream) error {
 		n += int64(len(ps.Entries))
 		for _, e := range ps.Entries {
 			bytes += int64(len(e.Line))
-		}
-		if w.indexEvents {
-			fields := ps.Labels.Map()
-			for _, e := range ps.Entries {
-				w.Events.Add(time.Unix(0, e.Timestamp), fields, e.Line)
-			}
 		}
 	}
 	w.logMessages.Add(n)
@@ -322,41 +293,16 @@ func (w *Warehouse) RateWindow(now time.Time) float64 {
 }
 
 // EnforceRetention drops data older than the retention horizon relative
-// to now and, when configured, downsamples metrics older than the
-// downsampling horizon. It returns (log chunks dropped, metric samples
-// dropped or folded into aggregates).
+// to now. It returns (log chunks dropped, metric samples dropped).
 func (w *Warehouse) EnforceRetention(now time.Time) (chunks, samples int) {
-	if w.downsampleAfter > 0 {
-		folded, err := w.Metrics.Downsample(now.Add(-w.downsampleAfter).UnixMilli(), w.downsampleRes, tsdb.AggAvg)
-		if err == nil {
-			samples += folded
-		}
-	}
 	if w.retention <= 0 {
-		return chunks, samples
+		return 0, 0
 	}
 	cutoff := now.Add(-w.retention)
 	chunks = w.Logs.DeleteBefore(cutoff.UnixNano())
-	samples += w.Metrics.DeleteBefore(cutoff.UnixMilli())
-	if w.indexEvents {
-		w.Events.DeleteBefore(cutoff)
-	}
+	samples = w.Metrics.DeleteBefore(cutoff.UnixMilli())
 	// Cached split results whose data window reaches below the horizon
 	// would resurrect just-deleted data; drop them with it.
 	w.Frontend.InvalidateBefore(cutoff)
 	return chunks, samples
-}
-
-// RunRetention enforces retention on the interval until ctx is cancelled.
-func (w *Warehouse) RunRetention(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			w.EnforceRetention(now)
-		}
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"shastamon/internal/eventsearch"
 	"shastamon/internal/labels"
 	"shastamon/internal/loki"
 )
@@ -70,58 +69,5 @@ func TestRateWindow(t *testing.T) {
 	}
 	if w.RateWindow(base) != 0 {
 		t.Fatal("zero-width window should report 0")
-	}
-}
-
-func TestEventIndexingOptIn(t *testing.T) {
-	w := New(Config{IndexEvents: true, Retention: time.Hour})
-	ls := labels.FromStrings("data_type", "redfish_event", "Context", "x1203c1b0")
-	base := time.Date(2022, 3, 3, 1, 47, 57, 0, time.UTC)
-	if err := w.IngestLogs([]loki.PushStream{{Labels: ls, Entries: []loki.Entry{
-		{Timestamp: base.UnixNano(), Line: "CabinetLeakDetected in Front zone"},
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	hits := w.Events.Search(eventsearch.Query{Terms: []string{"cabinetleakdetected"}})
-	if len(hits) != 1 || hits[0].Fields["Context"] != "x1203c1b0" {
-		t.Fatalf("%+v", hits)
-	}
-	// Retention clears the index too.
-	w.EnforceRetention(base.Add(3 * time.Hour))
-	if got := w.Events.Stats().Docs; got != 0 {
-		t.Fatalf("docs after retention: %d", got)
-	}
-	// Default config does not index.
-	w2 := New(Config{})
-	_ = w2.IngestLogs([]loki.PushStream{{Labels: ls, Entries: []loki.Entry{{Timestamp: 1, Line: "x"}}}})
-	if w2.Events.Stats().Docs != 0 {
-		t.Fatal("indexed without opt-in")
-	}
-}
-
-func TestDownsamplingDuringRetention(t *testing.T) {
-	w := New(Config{
-		Retention:            24 * time.Hour,
-		DownsampleAfter:      time.Hour,
-		DownsampleResolution: 10 * time.Minute,
-	})
-	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-	// One sample per minute for 2 hours.
-	for i := 0; i < 120; i++ {
-		_ = w.IngestMetric("m", labels.FromStrings("x", "1"), base.Add(time.Duration(i)*time.Minute).UnixMilli(), float64(i))
-	}
-	now := base.Add(2 * time.Hour)
-	_, folded := w.EnforceRetention(now)
-	if folded == 0 {
-		t.Fatal("nothing downsampled")
-	}
-	// The first hour is now 10-minute windows (6 samples); the second hour
-	// keeps its 60 raw samples.
-	data := w.Metrics.Select(nil, 0, now.UnixMilli())
-	if len(data) != 1 {
-		t.Fatalf("%+v", data)
-	}
-	if got := len(data[0].Samples); got != 6+60 {
-		t.Fatalf("samples = %d", got)
 	}
 }

@@ -132,6 +132,9 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", "\\n")
 }
 
+// helpUnescaper undoes escapeHelp; any other backslash is kept as is.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+
 // Parse reads an exposition document and returns all samples. HELP/TYPE
 // comments are folded into the returned families; unknown comment lines are
 // ignored, matching Prometheus scrape behaviour.
@@ -163,6 +166,11 @@ func Parse(r io.Reader) ([]Family, error) {
 					f := getFam(parts[2])
 					if len(parts) == 4 {
 						f.Help = parts[3]
+						// Replace copies even when nothing matches, and
+						// every scrape parses every HELP line.
+						if strings.IndexByte(f.Help, '\\') >= 0 {
+							f.Help = helpUnescaper.Replace(f.Help)
+						}
 					}
 				case "TYPE":
 					f := getFam(parts[2])
@@ -199,16 +207,12 @@ func parseSample(line string) (Metric, error) {
 	m.Name = line[:i]
 	// optional label block
 	if i < len(line) && line[i] == '{' {
-		end := strings.IndexByte(line[i:], '}')
-		if end < 0 {
-			return m, fmt.Errorf("unterminated labels in %q", line)
-		}
-		lbls, err := parseLabels(line[i+1 : i+end])
+		lbls, n, err := parseLabels(line[i:])
 		if err != nil {
 			return m, err
 		}
 		m.Labels = lbls
-		i += end + 1
+		i += n
 	}
 	rest := strings.TrimSpace(line[i:])
 	// An exemplar may follow the value/timestamp: " # {labels} value [ts]".
@@ -250,15 +254,11 @@ func parseExemplar(s string) (*Exemplar, error) {
 	if len(s) == 0 || s[0] != '{' {
 		return nil, fmt.Errorf("exemplar must start with '{' in %q", s)
 	}
-	end := strings.IndexByte(s, '}')
-	if end < 0 {
-		return nil, fmt.Errorf("unterminated exemplar labels in %q", s)
-	}
-	lbls, err := parseLabels(s[1:end])
+	lbls, n, err := parseLabels(s)
 	if err != nil {
 		return nil, err
 	}
-	fields := strings.Fields(s[end+1:])
+	fields := strings.Fields(s[n:])
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("missing exemplar value in %q", s)
 	}
@@ -289,27 +289,33 @@ func parseFloat(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-func parseLabels(s string) (labels.Labels, error) {
+// parseLabels parses the `{name="value",...}` block that opens s and
+// returns the labels and the block's length. A quoted value may hold '}',
+// ',' and escaped quotes, so the block ends at the first '}' outside one.
+func parseLabels(s string) (labels.Labels, int, error) {
 	var ls []labels.Label
-	i := 0
-	for i < len(s) {
+	i := 1 // past '{'
+	for {
 		for i < len(s) && (s[i] == ',' || s[i] == ' ') {
 			i++
 		}
 		if i >= len(s) {
+			return nil, 0, fmt.Errorf("unterminated labels in %q", s)
+		}
+		if s[i] == '}' {
 			break
 		}
 		start := i
-		for i < len(s) && s[i] != '=' {
+		for i < len(s) && s[i] != '=' && s[i] != '}' {
 			i++
 		}
-		if i >= len(s) {
-			return nil, fmt.Errorf("bad label pair in %q", s)
+		if i >= len(s) || s[i] != '=' {
+			return nil, 0, fmt.Errorf("bad label pair in %q", s)
 		}
 		name := strings.TrimSpace(s[start:i])
 		i++ // '='
 		if i >= len(s) || s[i] != '"' {
-			return nil, fmt.Errorf("unquoted label value in %q", s)
+			return nil, 0, fmt.Errorf("unquoted label value in %q", s)
 		}
 		i++
 		var b strings.Builder
@@ -331,13 +337,13 @@ func parseLabels(s string) (labels.Labels, error) {
 			i++
 		}
 		if i >= len(s) {
-			return nil, fmt.Errorf("unterminated label value in %q", s)
+			return nil, 0, fmt.Errorf("unterminated label value in %q", s)
 		}
 		i++ // closing quote
 		ls = append(ls, labels.Label{Name: name, Value: b.String()})
 	}
-	sort.Slice(ls, func(a, b int) bool { return ls[a].Name < ls[b].Name })
-	return labels.Labels(ls), nil
+	sort.SliceStable(ls, func(a, b int) bool { return ls[a].Name < ls[b].Name })
+	return labels.Labels(ls), i + 1, nil
 }
 
 func isNameChar(c byte, first bool) bool {

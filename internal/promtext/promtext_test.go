@@ -3,6 +3,7 @@ package promtext
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -182,6 +183,32 @@ func TestSamplesFlatten(t *testing.T) {
 	}
 }
 
+// Regression: a '}' inside a quoted value does not end the label block,
+// on the sample or on its exemplar.
+func TestLabelValueHoldsBrace(t *testing.T) {
+	for name, in := range map[string]Metric{
+		"sample": {Name: "m", Labels: labels.FromStrings("alpha", "a}b", "beta", "c"), Value: 1},
+		"exemplar": {Name: "m", Labels: labels.FromStrings("le", "1"), Value: 2,
+			Exemplar: &Exemplar{Labels: labels.FromStrings("trace_id", "t}1,x=\"y\""), Value: 0.5}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Write(&buf, []Family{{Name: "m", Metrics: []Metric{in}}}); err != nil {
+				t.Fatal(err)
+			}
+			text := buf.String()
+			out, err := Parse(&buf)
+			if err != nil {
+				t.Fatalf("Parse(%q): %v", text, err)
+			}
+			got := Samples(out)
+			if len(got) != 1 || !reflect.DeepEqual(got[0], in) {
+				t.Fatalf("Parse(%q) = %+v, want %+v", text, got, in)
+			}
+		})
+	}
+}
+
 // Property: any label set of safe strings round-trips through the text
 // format.
 func TestPropertyLabelRoundTrip(t *testing.T) {
@@ -241,8 +268,12 @@ func TestHelpEscaping(t *testing.T) {
 	if !strings.Contains(buf.String(), `# HELP m line one\nline two \\ backslash`) {
 		t.Fatalf("%s", buf.String())
 	}
-	// Still parseable.
-	if _, err := Parse(&buf); err != nil {
+	// Parse undoes the escaping.
+	out, err := Parse(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if out[0].Help != in[0].Help {
+		t.Fatalf("help = %q, want %q", out[0].Help, in[0].Help)
 	}
 }

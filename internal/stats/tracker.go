@@ -14,11 +14,12 @@ import (
 	"shastamon/internal/obs"
 )
 
-// Config carries the per-query limits and slowlog settings, populated
-// from loki.Limits by the warehouse.
+// Config carries the per-query limits and the slowlog threshold; the
+// warehouse takes it as omni.Config.QueryLimits.
 type Config struct {
 	// MaxBytesScanned cancels any query whose cumulative scanned bytes
-	// exceed the budget. 0 disables the limit.
+	// exceed the budget (Loki's max_query_bytes_read). 0 disables the
+	// limit.
 	MaxBytesScanned int64
 	// Timeout cancels any query running longer than this wall-clock
 	// budget. 0 disables the limit.
@@ -27,11 +28,10 @@ type Config struct {
 	// 0 disables duration-based slowlogging (limit breaches and kills are
 	// always recorded).
 	SlowThreshold time.Duration
-	// SlowLogSize bounds the slowlog ring buffer; <= 0 takes 128.
-	SlowLogSize int
 }
 
-const defaultSlowLogSize = 128
+// slowLogSize bounds the slowlog ring buffer.
+const slowLogSize = 128
 
 // Histogram buckets for scan volume and throughput: queries range from a
 // few KB (instant panel refresh) to multi-GB dashboard ranges.
@@ -100,9 +100,6 @@ type Tracker struct {
 // NewTracker registers the query metric families on reg and returns a
 // tracker enforcing cfg.
 func NewTracker(reg *obs.Registry, cfg Config) *Tracker {
-	if cfg.SlowLogSize <= 0 {
-		cfg.SlowLogSize = defaultSlowLogSize
-	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -301,9 +298,9 @@ func (t *Tracker) Active() []ActiveQuery {
 func (t *Tracker) recordSlow(e SlowEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.slow) < t.cfg.SlowLogSize {
+	if len(t.slow) < slowLogSize {
 		t.slow = append(t.slow, e)
-		t.slowNext = len(t.slow) % t.cfg.SlowLogSize
+		t.slowNext = len(t.slow) % slowLogSize
 		return
 	}
 	t.slow[t.slowNext] = e
@@ -319,7 +316,7 @@ func (t *Tracker) SlowLog() []SlowEntry {
 	defer t.mu.Unlock()
 	n := len(t.slow)
 	out := make([]SlowEntry, 0, n)
-	if n < t.cfg.SlowLogSize {
+	if n < slowLogSize {
 		for i := n - 1; i >= 0; i-- {
 			out = append(out, t.slow[i])
 		}

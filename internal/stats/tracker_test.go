@@ -95,23 +95,23 @@ func TestTrackerTimeout(t *testing.T) {
 }
 
 func TestSlowlogRingEviction(t *testing.T) {
-	tr := NewTracker(obs.NewRegistry(), Config{SlowLogSize: 3, SlowThreshold: time.Nanosecond})
-	for i := 0; i < 5; i++ {
+	tr := NewTracker(obs.NewRegistry(), Config{SlowThreshold: time.Nanosecond})
+	for i := 0; i < slowLogSize+2; i++ {
 		_, finish := tr.Start(context.Background(), "logql", fmt.Sprintf("query-%d", i))
 		time.Sleep(time.Microsecond) // every query crosses the 1ns threshold
 		finish(nil)
 	}
 	log := tr.SlowLog()
-	if len(log) != 3 {
-		t.Fatalf("ring kept %d entries, want 3", len(log))
+	if len(log) != slowLogSize {
+		t.Fatalf("ring kept %d entries, want %d", len(log), slowLogSize)
 	}
 	// Newest first; the two oldest (query-0, query-1) were evicted.
-	for i, want := range []string{"query-4", "query-3", "query-2"} {
-		if log[i].Query != want {
-			t.Fatalf("log[%d] = %q, want %q (full: %+v)", i, log[i].Query, want, log)
+	for i, e := range log {
+		if want := fmt.Sprintf("query-%d", slowLogSize+1-i); e.Query != want {
+			t.Fatalf("log[%d] = %q, want %q", i, e.Query, want)
 		}
-		if log[i].Reason != "slow" {
-			t.Fatalf("reason = %q, want slow", log[i].Reason)
+		if e.Reason != "slow" {
+			t.Fatalf("reason = %q, want slow", e.Reason)
 		}
 	}
 }

@@ -47,9 +47,6 @@ type ServerConfig struct {
 	Broker *kafka.Broker
 	// Tokens holds accepted bearer tokens. Empty disables authentication.
 	Tokens []string
-	// MaxConcurrentPolls bounds in-flight stream requests (the "balancing"
-	// role). 0 means 64.
-	MaxConcurrentPolls int
 	// ManualCommitTopics lists topics whose subscriptions use manual offset
 	// commits: a polled batch is committed only after the response has been
 	// written, so a server crash mid-stream re-delivers the batch to the
@@ -57,6 +54,10 @@ type ServerConfig struct {
 	// (at-most-once), matching a sensor fleet that prefers freshness.
 	ManualCommitTopics []string
 }
+
+// maxConcurrentPolls bounds in-flight stream requests (the API's
+// "balancing" role).
+const maxConcurrentPolls = 64
 
 // Server is the telemetry API HTTP handler.
 type Server struct {
@@ -81,13 +82,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Broker == nil {
 		return nil, fmt.Errorf("telemetry: broker required")
 	}
-	if cfg.MaxConcurrentPolls <= 0 {
-		cfg.MaxConcurrentPolls = 64
-	}
 	s := &Server{
 		broker: cfg.Broker,
 		tokens: map[string]bool{},
-		sem:    make(chan struct{}, cfg.MaxConcurrentPolls),
+		sem:    make(chan struct{}, maxConcurrentPolls),
 		subs:   map[string]*subscription{},
 		manual: map[string]bool{},
 		reg:    obs.NewRegistry(),

@@ -38,7 +38,7 @@ type ckptFile struct {
 // EnableDurability attaches a WAL + checkpoint to the DB and recovers
 // whatever dir already holds. Must be called before any appends. The
 // breaker name is "wal:metrics".
-func (db *DB) EnableDurability(dir string, opt wal.StoreOptions) (RecoveryInfo, error) {
+func (db *DB) EnableDurability(dir string, opt wal.Options) (RecoveryInfo, error) {
 	if db.dur != nil {
 		return RecoveryInfo{}, fmt.Errorf("tsdb: durability already enabled")
 	}

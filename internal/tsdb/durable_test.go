@@ -30,7 +30,7 @@ func appendAll(t *testing.T, db *DB, series, samples int) {
 	}
 }
 
-func openDurableDB(t *testing.T, dir string, opt wal.StoreOptions) (*DB, RecoveryInfo) {
+func openDurableDB(t *testing.T, dir string, opt wal.Options) (*DB, RecoveryInfo) {
 	t.Helper()
 	db := NewSharded(2)
 	info, err := db.EnableDurability(dir, opt)
@@ -58,7 +58,7 @@ func assertDBsMatch(t *testing.T, got, want *DB) {
 // WAL replay with identical samples and counters.
 func TestTSDBCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	db1, info := openDurableDB(t, dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}})
+	db1, info := openDurableDB(t, dir, wal.Options{Fsync: wal.FsyncAlways})
 	if info.Checkpoint || info.Replayed != 0 {
 		t.Fatalf("fresh dir: %+v", info)
 	}
@@ -67,7 +67,7 @@ func TestTSDBCrashRecovery(t *testing.T) {
 	ref := NewSharded(2)
 	appendAll(t, ref, 8, 50)
 
-	db2, info := openDurableDB(t, dir, wal.StoreOptions{})
+	db2, info := openDurableDB(t, dir, wal.Options{})
 	if info.Clean || info.Replayed != 8*50 {
 		t.Fatalf("crash recovery: %+v", info)
 	}
@@ -78,7 +78,7 @@ func TestTSDBCrashRecovery(t *testing.T) {
 // snapshot and replays only post-cut records.
 func TestTSDBCheckpointBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
-	db1, _ := openDurableDB(t, dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}})
+	db1, _ := openDurableDB(t, dir, wal.Options{Fsync: wal.FsyncAlways})
 	appendAll(t, db1, 4, 30)
 	if err := db1.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestTSDBCheckpointBoundsReplay(t *testing.T) {
 		}
 	}
 
-	db2, info := openDurableDB(t, dir, wal.StoreOptions{})
+	db2, info := openDurableDB(t, dir, wal.Options{})
 	if !info.Checkpoint || info.Replayed != 4*30 {
 		t.Fatalf("bounded replay: %+v", info)
 	}
@@ -103,7 +103,7 @@ func TestTSDBCheckpointBoundsReplay(t *testing.T) {
 // TestTSDBCleanShutdown: CLEAN marker skips replay entirely.
 func TestTSDBCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
-	db1, _ := openDurableDB(t, dir, wal.StoreOptions{})
+	db1, _ := openDurableDB(t, dir, wal.Options{})
 	appendAll(t, db1, 5, 40)
 	if err := db1.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestTSDBCleanShutdown(t *testing.T) {
 	ref := NewSharded(2)
 	appendAll(t, ref, 5, 40)
 
-	db2, info := openDurableDB(t, dir, wal.StoreOptions{})
+	db2, info := openDurableDB(t, dir, wal.Options{})
 	if !info.Clean || info.Replayed != 0 {
 		t.Fatalf("clean restart: %+v", info)
 	}
@@ -127,7 +127,7 @@ func TestTSDBCleanShutdown(t *testing.T) {
 // the fresh segments written after a clean restart.
 func TestTSDBCrashAfterCleanRestart(t *testing.T) {
 	dir := t.TempDir()
-	always := wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}
+	always := wal.Options{Fsync: wal.FsyncAlways}
 
 	db1, _ := openDurableDB(t, dir, always)
 	appendAll(t, db1, 4, 30)
@@ -151,7 +151,7 @@ func TestTSDBCrashAfterCleanRestart(t *testing.T) {
 	ref := NewSharded(2)
 	appendAll(t, ref, 4, 60)
 
-	db3, info := openDurableDB(t, dir, wal.StoreOptions{})
+	db3, info := openDurableDB(t, dir, wal.Options{})
 	if info.Clean || info.Replayed != 4*30 {
 		t.Fatalf("post-clean-restart crash recovery: %+v (want %d replayed)", info, 4*30)
 	}
@@ -167,11 +167,7 @@ func TestTSDBDiskFaultDegrades(t *testing.T) {
 	now := time.Unix(2000, 0)
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 
-	db, _ := openDurableDB(t, dir, wal.StoreOptions{
-		Options:          wal.Options{Fsync: wal.FsyncAlways, WrapWriter: inj.WriterWrapper("disk.write"), Now: clock},
-		BreakerThreshold: 2,
-		BreakerOpenFor:   5 * time.Second,
-	})
+	db, _ := openDurableDB(t, dir, wal.Options{Fsync: wal.FsyncAlways, WrapWriter: inj.WriterWrapper("disk.write"), Now: clock})
 	appendAll(t, db, 3, 10)
 	inj.Set("disk.write", chaos.Fault{ErrProb: 1, Err: syscall.ENOSPC})
 	for ts := 10; ts < 40; ts++ {
@@ -187,7 +183,7 @@ func TestTSDBDiskFaultDegrades(t *testing.T) {
 	}
 	inj.ClearAll()
 	mu.Lock()
-	now = now.Add(6 * time.Second)
+	now = now.Add(11 * time.Second)
 	mu.Unlock()
 	for ts := 40; ts < 50; ts++ {
 		for s := 0; s < 3; s++ {

@@ -68,7 +68,7 @@ func TestAppendRejectsInvalidLabels(t *testing.T) {
 // series comes back from a crash in the tenant that owned it.
 func TestCrashReplayKeepsTenants(t *testing.T) {
 	dir := t.TempDir()
-	db1, _ := openDurableDB(t, dir, wal.StoreOptions{})
+	db1, _ := openDurableDB(t, dir, wal.Options{})
 	for _, w := range []struct {
 		id string
 		ls labels.Labels
@@ -87,7 +87,7 @@ func TestCrashReplayKeepsTenants(t *testing.T) {
 		before[id] = db1.SeriesTenant(id, nil)
 	}
 	// Crash: no Shutdown.
-	db2, info := openDurableDB(t, dir, wal.StoreOptions{})
+	db2, info := openDurableDB(t, dir, wal.Options{})
 	if info.Replayed == 0 {
 		t.Fatalf("recovery replayed nothing: %+v", info)
 	}
@@ -135,7 +135,7 @@ func TestRecoverySkipsInvalidLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, info := openDurableDB(t, dir, wal.StoreOptions{})
+	db, info := openDurableDB(t, dir, wal.Options{})
 	if !info.Checkpoint || info.Corrupt != 2 || info.Replayed != 1 {
 		t.Fatalf("recovery = %+v, want checkpoint, 2 corrupt, 1 replayed", info)
 	}

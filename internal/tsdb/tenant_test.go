@@ -124,7 +124,7 @@ func TestDurableTenantRoundTripTSDB(t *testing.T) {
 	ls := labels.FromStrings("__name__", "m")
 
 	db1 := NewSharded(2)
-	if _, err := db1.EnableDurability(dir, wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}); err != nil {
+	if _, err := db1.EnableDurability(dir, wal.Options{Fsync: wal.FsyncAlways}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db1.AppendTenant("hpc-a", ls, 1000, 1); err != nil {
@@ -145,7 +145,7 @@ func TestDurableTenantRoundTripTSDB(t *testing.T) {
 	// Crash: no Shutdown.
 
 	db2 := NewSharded(2)
-	info, err := db2.EnableDurability(dir, wal.StoreOptions{})
+	info, err := db2.EnableDurability(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestTenantConcurrentAppendRaceTSDB(t *testing.T) {
 // not depend on how the head recovered — checkpoint restore credits the
 // tenant exactly as WAL replay does.
 func TestDurableTenantRoundTripTSDBCounters(t *testing.T) {
-	always := wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}
+	always := wal.Options{Fsync: wal.FsyncAlways}
 	ls := labels.FromStrings("__name__", "m")
 	for _, tc := range []struct {
 		name string
@@ -265,7 +265,7 @@ func TestDurableTenantRoundTripTSDBCounters(t *testing.T) {
 			want := db1.TenantStats()
 
 			db2 := NewSharded(2)
-			info, err := db2.EnableDurability(dir, wal.StoreOptions{})
+			info, err := db2.EnableDurability(dir, wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"shastamon/internal/labels"
 )
@@ -207,75 +206,5 @@ func BenchmarkSelectRecent(b *testing.B) {
 		if len(got) != 100 {
 			b.Fatal("bad select")
 		}
-	}
-}
-
-func TestDownsampleAvg(t *testing.T) {
-	db := New()
-	ls := metric("m")
-	// Samples every 10s for 10 minutes: 60 samples.
-	for i := 0; i < 60; i++ {
-		_ = db.Append(ls, int64(i)*10_000, float64(i))
-	}
-	// Downsample everything before 5 minutes to 1-minute resolution.
-	gone, err := db.Downsample(300_000, time.Minute, AggAvg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 30 old samples -> 5 windows: 25 eliminated.
-	if gone != 25 {
-		t.Fatalf("eliminated = %d", gone)
-	}
-	got := db.Select(nil, 0, 600_000)
-	if len(got) != 1 || len(got[0].Samples) != 5+30 {
-		t.Fatalf("samples = %d", len(got[0].Samples))
-	}
-	// First window covers values 0..5 (t=0..50s): avg 2.5.
-	if got[0].Samples[0].T != 0 || got[0].Samples[0].V != 2.5 {
-		t.Fatalf("%+v", got[0].Samples[0])
-	}
-	// Recent samples untouched and ordering preserved.
-	ss := got[0].Samples
-	for i := 1; i < len(ss); i++ {
-		if ss[i].T <= ss[i-1].T {
-			t.Fatalf("unordered after downsample: %+v", ss)
-		}
-	}
-	// Appends continue to work afterwards.
-	if err := db.Append(ls, 700_000, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDownsampleKinds(t *testing.T) {
-	vals := []float64{1, 5, 3}
-	cases := map[AggKind]float64{AggAvg: 3, AggMin: 1, AggMax: 5, AggLast: 3}
-	for kind, want := range cases {
-		db := New()
-		ls := metric("m")
-		for i, v := range vals {
-			_ = db.Append(ls, int64(i)*1000, v)
-		}
-		if _, err := db.Downsample(10_000, time.Minute, kind); err != nil {
-			t.Fatal(err)
-		}
-		got := db.Select(nil, 0, 10_000)
-		if len(got[0].Samples) != 1 || got[0].Samples[0].V != want {
-			t.Fatalf("kind %d: %+v", kind, got[0].Samples)
-		}
-	}
-}
-
-func TestDownsampleValidation(t *testing.T) {
-	db := New()
-	if _, err := db.Downsample(1000, 0, AggAvg); err == nil {
-		t.Fatal("zero resolution accepted")
-	}
-	// A series with one old sample is left alone.
-	ls := metric("m")
-	_ = db.Append(ls, 0, 1)
-	gone, err := db.Downsample(1000, time.Minute, AggAvg)
-	if err != nil || gone != 0 {
-		t.Fatalf("%d %v", gone, err)
 	}
 }

@@ -84,7 +84,7 @@ func TestCheckpointRecoversParentImage(t *testing.T) {
 		}
 		dir := t.TempDir()
 		copyTree(t, image, dir)
-		s, info, err := b.open(dir, wal.StoreOptions{})
+		s, info, err := b.open(dir, wal.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
@@ -111,7 +111,7 @@ func TestCheckpointUnreadableFailsOpen(t *testing.T) {
 		if err := os.Mkdir(ckpt, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if _, info, err := b.open(dir, wal.StoreOptions{}); err == nil {
+		if _, info, err := b.open(dir, wal.Options{}); err == nil {
 			t.Errorf("%s: opened over an unreadable checkpoint: %+v", b.name, info)
 		}
 	}
@@ -131,7 +131,7 @@ func TestCheckpointTruncatedFallsBackToWAL(t *testing.T) {
 		if err := os.WriteFile(ckpt, buf[:len(buf)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, info, err := b.open(dir, wal.StoreOptions{})
+		s, info, err := b.open(dir, wal.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
@@ -192,7 +192,7 @@ func TestCheckpointHugeCountRow(t *testing.T) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s, info, err := b.open(dir, wal.StoreOptions{})
+		s, info, err := b.open(dir, wal.Options{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)

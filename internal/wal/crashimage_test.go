@@ -38,7 +38,7 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-func (d *disk) options() wal.StoreOptions {
+func (d *disk) options() wal.Options {
 	opt := always
 	opt.WrapWriter = func(w io.Writer) io.Writer {
 		return writerFunc(func(p []byte) (int, error) {
@@ -111,7 +111,7 @@ func crashScript(t *testing.T, b binding, dir string, d *disk) (acked, pushed ma
 // recovered directory again changes nothing.
 func checkImage(t *testing.T, b binding, image string, acked, pushed map[string]int, when string) {
 	t.Helper()
-	s, _, err := b.open(image, wal.StoreOptions{})
+	s, _, err := b.open(image, wal.Options{})
 	if err != nil {
 		t.Fatalf("%s %s: recovery failed: %v (image %s)", b.name, when, err, image)
 	}
@@ -145,7 +145,7 @@ func checkImage(t *testing.T, b binding, image string, acked, pushed map[string]
 			t.Fatalf("%s %s: recovered stream %s was never pushed (image %s)", b.name, when, key, image)
 		}
 	}
-	again, _, err := b.open(image, wal.StoreOptions{})
+	again, _, err := b.open(image, wal.Options{})
 	if err != nil {
 		t.Fatalf("%s %s: second recovery failed: %v (image %s)", b.name, when, err, image)
 	}

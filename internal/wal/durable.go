@@ -32,7 +32,7 @@ const (
 // touched once an append has actually failed.
 type Durable struct {
 	dir     string
-	opt     StoreOptions
+	opt     Options
 	logs    []*Log
 	breaker *resilience.Breaker
 
@@ -54,16 +54,13 @@ type Durable struct {
 	spilled     atomic.Int64
 }
 
-func (o StoreOptions) withDefaults() StoreOptions {
-	o.Options = o.Options.withDefaults()
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerOpenFor <= 0 {
-		o.BreakerOpenFor = 10 * time.Second
-	}
-	return o
-}
+// The degradation breaker: this many consecutive WAL failures trip the
+// store into in-memory mode, which fails fast for breakerOpenFor before
+// probing the disk again.
+const (
+	breakerThreshold = 3
+	breakerOpenFor   = 10 * time.Second
+)
 
 // ShardDirName renders the canonical per-shard WAL directory name.
 func ShardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
@@ -118,15 +115,15 @@ type RecoveryInfo struct {
 // the appends that follow. The store must not log while it runs: Restore
 // and Replay go through the store's normal ingest paths, which must see no
 // armed Durable yet (the caller installs the returned one).
-func OpenDurable(dir string, st Store, opt StoreOptions) (*Durable, RecoveryInfo, error) {
+func OpenDurable(dir string, st Store, opt Options) (*Durable, RecoveryInfo, error) {
 	opt = opt.withDefaults()
 	d := &Durable{
 		dir: dir,
 		opt: opt,
 		breaker: resilience.NewBreaker(resilience.BreakerConfig{
 			Name:             st.Name,
-			FailureThreshold: opt.BreakerThreshold,
-			OpenFor:          opt.BreakerOpenFor,
+			FailureThreshold: breakerThreshold,
+			OpenFor:          breakerOpenFor,
 			Now:              opt.Now,
 		}),
 	}
@@ -135,7 +132,7 @@ func OpenDurable(dir string, st Store, opt StoreOptions) (*Durable, RecoveryInfo
 		return nil, info, err
 	}
 	for i := 0; i < st.Shards; i++ {
-		l, err := Open(filepath.Join(dir, LogDirName, ShardDirName(i)), opt.Options)
+		l, err := Open(filepath.Join(dir, LogDirName, ShardDirName(i)), opt)
 		if err != nil {
 			d.close()
 			return nil, info, err

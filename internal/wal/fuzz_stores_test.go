@@ -16,7 +16,7 @@ import (
 
 // never is the cheapest fsync policy: the fuzz targets below recover
 // directories they have just written and nothing has to survive a crash.
-var never = wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncNever}}
+var never = wal.Options{Fsync: wal.FsyncNever}
 
 // openBounded recovers dir into a fresh store and fails the test when
 // recovery errors — outside bytes are counted corrupt, never fatal — or
@@ -75,7 +75,7 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		for _, b := range fuzzBindings {
 			dir := t.TempDir()
-			l, err := wal.Open(filepath.Join(dir, wal.LogDirName, wal.ShardDirName(0)), never.Options)
+			l, err := wal.Open(filepath.Join(dir, wal.LogDirName, wal.ShardDirName(0)), never)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,7 +47,7 @@ type store interface {
 
 type binding struct {
 	name string
-	open func(dir string, opt wal.StoreOptions) (store, recovery, error)
+	open func(dir string, opt wal.Options) (store, recovery, error)
 	// render is dump's rendering of one pushed item.
 	render func(key string, seq int) string
 	// rowsKey / blobField locate the binary item codec inside
@@ -70,7 +70,7 @@ var (
 type lokiStore struct{ *loki.Store }
 
 func lokiBinding(chunks chunkenc.Options) binding {
-	open := func(dir string, opt wal.StoreOptions) (store, recovery, error) {
+	open := func(dir string, opt wal.Options) (store, recovery, error) {
 		l := loki.DefaultLimits()
 		l.Shards = 2
 		l.ChunkOptions = chunks
@@ -129,7 +129,7 @@ func (s lokiStore) dump(t testing.TB) map[string][]string {
 
 type tsdbStore struct{ *tsdb.DB }
 
-func openTSDB(dir string, opt wal.StoreOptions) (store, recovery, error) {
+func openTSDB(dir string, opt wal.Options) (store, recovery, error) {
 	db := tsdb.NewSharded(2)
 	info, err := db.EnableDurability(dir, opt)
 	return tsdbStore{db}, recovery{info.Clean, info.Checkpoint, info.Replayed, info.Corrupt}, err
@@ -232,4 +232,4 @@ func copyTree(t testing.TB, src, dst string) {
 	}
 }
 
-var always = wal.StoreOptions{Options: wal.Options{Fsync: wal.FsyncAlways}}
+var always = wal.Options{Fsync: wal.FsyncAlways}

@@ -75,7 +75,7 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval syncs at most once per Options.FsyncInterval, on the
+	// FsyncInterval syncs at most once per fsyncInterval (250 ms), on the
 	// append path (the default: bounded loss window, near-zero overhead).
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every append: zero loss window, slowest.
@@ -112,8 +112,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // Default tuning constants.
 const (
-	DefaultSegmentBytes  = 4 << 20 // rotate segments at 4 MiB
-	DefaultFsyncInterval = 250 * time.Millisecond
+	defaultSegmentBytes = 4 << 20 // rotate segments at 4 MiB
+	fsyncInterval       = 250 * time.Millisecond
 	// MaxRecordBytes caps a single record; a length prefix above it is
 	// treated as corruption rather than an allocation request.
 	MaxRecordBytes = 64 << 20
@@ -130,11 +130,10 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: log closed")
 
-// Options configure a Log. Zero values take the defaults above.
+// Options configure a Log and, through OpenDurable, a durable store
+// directory. Zero values take the defaults above.
 type Options struct {
-	SegmentBytes  int
-	Fsync         FsyncPolicy
-	FsyncInterval time.Duration
+	Fsync FsyncPolicy
 	// WrapWriter, when set, wraps every segment/spill/checkpoint file
 	// writer — the chaos injector's hook for disk write faults (failing,
 	// short and ENOSPC writes). Nil writes straight through.
@@ -144,36 +143,24 @@ type Options struct {
 	// operation. The chaos injector's hook for non-write disk faults.
 	FaultHook func(op string) error
 	// Now is the clock driving the FsyncInterval policy and (via
-	// StoreOptions) the degradation breaker; the pipeline injects its
+	// OpenDurable) the degradation breaker; the pipeline injects its
 	// simulated clock so sync cadence stays deterministic under simulated
 	// time. Nil means time.Now.
 	Now func() time.Time
+
+	// segmentBytes overrides defaultSegmentBytes; only the package's
+	// rotation tests shrink it.
+	segmentBytes int
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = DefaultFsyncInterval
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = defaultSegmentBytes
 	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
 	return o
-}
-
-// StoreOptions bundle the knobs a durable store (loki.Store, tsdb.DB)
-// needs on top of the log itself: the WAL options plus the degradation
-// breaker's tuning. Zero values take defaults.
-type StoreOptions struct {
-	Options
-	// BreakerThreshold is the consecutive WAL failures that trip the
-	// store into in-memory degraded mode (default 3).
-	BreakerThreshold int
-	// BreakerOpenFor is how long degraded mode fails fast before probing
-	// the disk again (default 10s).
-	BreakerOpenFor time.Duration
 }
 
 // Log is one segmented append-only record log rooted at a directory.
@@ -311,7 +298,7 @@ func (l *Log) Append(payload []byte) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.size > 0 && l.size+int64(len(rec)) > int64(l.opt.SegmentBytes) {
+	if l.size > 0 && l.size+int64(len(rec)) > int64(l.opt.segmentBytes) {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -329,7 +316,7 @@ func (l *Log) Append(payload []byte) error {
 	case FsyncAlways:
 		return l.syncLocked()
 	case FsyncInterval:
-		if now := l.opt.Now(); now.Sub(l.lastSync) >= l.opt.FsyncInterval {
+		if now := l.opt.Now(); now.Sub(l.lastSync) >= fsyncInterval {
 			return l.syncLocked()
 		}
 	}

@@ -57,7 +57,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestSegmentRotationAndDropBefore(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 64, Fsync: FsyncNever})
+	l, err := Open(dir, Options{segmentBytes: 64, Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestFaultHookFailsSyncAndRotate(t *testing.T) {
 	dir := t.TempDir()
 	deny := map[string]bool{}
 	l, err := Open(dir, Options{
-		SegmentBytes: 32,
+		segmentBytes: 32,
 		Fsync:        FsyncNever,
 		FaultHook: func(op string) error {
 			if deny[op] {
@@ -302,9 +302,8 @@ func TestFsyncIntervalUsesInjectedClock(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(5000, 0)
 	l, err := Open(dir, Options{
-		Fsync:         FsyncInterval,
-		FsyncInterval: time.Second,
-		Now:           func() time.Time { return now },
+		Fsync: FsyncInterval,
+		Now:   func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +319,7 @@ func TestFsyncIntervalUsesInjectedClock(t *testing.T) {
 	if got := l.Stats().Syncs; got != 1 {
 		t.Fatalf("frozen clock: %d syncs, want 1", got)
 	}
-	now = now.Add(time.Second)
+	now = now.Add(fsyncInterval)
 	if err := l.Append([]byte("rec")); err != nil {
 		t.Fatal(err)
 	}

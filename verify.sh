@@ -40,16 +40,20 @@ GOMAXPROCS=2 go test -race -run 'TestDurable|TestTSDB|TestCrashImage|TestCheckpo
 # rows), of the query differential oracle (random LogQL/PromQL queries
 # against a naive evaluator), of the shared query grammar's round trip
 # (no panic; every accepted query's String() re-parses to the same tree
-# and renders to itself, in both languages) and of the query API's
-# time/step parameter parser, one target at a time. New corpus entries go
+# and renders to itself, in both languages), of the query API's
+# time/step parameter parser and of the Prometheus text format's
+# writer/reader pair, one target at a time. New corpus entries go
 # to the build cache, not the tree; only a failing input is written under
 # testdata/. The targets run worker pools per input, so their coverage is
 # never exactly repeatable and the default minimizer would spend the
 # whole budget re-running one input: it is turned off.
-for spec in FuzzWALDecode:wal FuzzRecordDecode:wal FuzzCheckpointRows:wal FuzzQueryDifferential:frontend FuzzParseRoundTrip:frontend FuzzQueryParams:frontend; do
+for spec in FuzzWALDecode:wal FuzzRecordDecode:wal FuzzCheckpointRows:wal FuzzQueryDifferential:frontend FuzzParseRoundTrip:frontend FuzzQueryParams:frontend FuzzWriteParseRoundTrip:promtext; do
   target=${spec%%:*}
   go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s -fuzzminimizetime=0 "./internal/${spec#*:}/"
 done
+# The text-format label property test draws random strings; a label value
+# holding '}' once broke the parser in about one run in two hundred.
+go test -count=500 -run TestPropertyLabelRoundTrip ./internal/promtext/
 
 # Tenant isolation suite: concurrent two-tenant pushes into shared lock
 # stripes, exact quota/rate accounting, tenant-keyed frontend queues and
