@@ -53,6 +53,18 @@ func MetaRules() []vmalert.Rule {
 			},
 		},
 		{
+			// Retention dropped offsets a consumer group had not committed:
+			// the group fell further behind than the broker's byte or age
+			// bound, and those messages never reach the warehouse. The
+			// count is exact per group, so the alert says what was lost.
+			Name:   "ShastamonKafkaRetentionSkipped",
+			Expr:   `sum(increase(shastamon_kafka_retention_skipped_total[10m])) by (group, topic) > 0`,
+			Labels: map[string]string{"severity": "warning", "source": "shastamon"},
+			Annotations: map[string]string{
+				"summary": "Kafka retention dropped {{ $value }} unread offset(s) of {{ $labels.topic }} before group {{ $labels.group }} consumed them (10m)",
+			},
+		},
+		{
 			// Stage errors are isolated per tick, so the pipeline keeps
 			// running — this is the signal that it is running degraded.
 			Name:   "ShastamonStageErrors",

@@ -848,7 +848,11 @@ func (p *Pipeline) Tick(now time.Time) error {
 	stage("ruler", func() error { _, err := p.Ruler.EvalOnce(); return err })
 	stage("vmalert", func() error { _, err := p.VMAlert.EvalOnce(); return err })
 	stage("alertmanager_flush", func() error { p.Alertmanager.Flush(); return nil })
-	stage("retention", func() error { p.Warehouse.EnforceRetention(now); return nil })
+	stage("retention", func() error {
+		p.Warehouse.EnforceRetention(now)
+		p.Broker.TruncateBefore(now.Add(-p.Broker.Retention().Age))
+		return nil
+	})
 	stage("checkpoint", func() error { return p.Warehouse.MaybeCheckpoint(now) })
 	if len(errs) > 0 {
 		p.tickFailCtr.Inc()

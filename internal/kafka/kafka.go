@@ -1,20 +1,20 @@
 // Package kafka implements an in-memory message broker with the Kafka
 // semantics the paper's pipeline relies on: named topics split into
 // partitions, ordered append-only logs per partition, offset-based fetch,
-// consumer groups with committed offsets and rebalancing, and time-based
-// retention. In the paper, "the HMS collector pushes data to Kafka, where
-// Kafka stores data in different topics by categories and serves them to
-// possible consumers".
+// consumer groups with committed offsets and rebalancing, and byte- and
+// age-bounded retention over segmented partition logs. In the paper,
+// "the HMS collector pushes data to Kafka, where Kafka stores data in
+// different topics by categories and serves them to possible consumers".
 package kafka
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"shastamon/internal/labels"
@@ -43,17 +43,101 @@ var (
 	ErrOffsetOutOfRange = errors.New("kafka: offset out of range")
 )
 
+// Retention holds the two bounds Kafka puts on every partition's log,
+// retention.bytes and retention.ms. A bound of zero or less is no bound.
+type Retention struct {
+	// Bytes bounds what one partition holds, counted by messageBytes.
+	// It is enforced as the log grows: an in-memory broker has no disk
+	// to spill to, so without it every message produced inside the age
+	// bound stays on the heap. A trim drops whole segments, unread tails
+	// included, so the bound should exceed one segment plus what
+	// consumers leave unread between polls.
+	Bytes int64
+	// Age bounds how old a retained message may be. It is enforced by
+	// TruncateBefore, whose caller owns the clock (the pipeline's tick
+	// runs on simulated time in experiments).
+	Age time.Duration
+}
+
+// Defaults for every partition, DLQ topics included. The age is HPE's
+// policy in the paper ("keeping event information for no more than two
+// months"); the byte bound keeps a partition's log to a few megabytes
+// of heap, far more than the forwarder ever leaves unread in a tick.
+const (
+	DefaultRetentionBytes = 8 << 20
+	DefaultRetentionAge   = 60 * 24 * time.Hour
+)
+
+// MessageOverhead is what a message costs the broker beyond its key,
+// value and header bytes: its slot in a segment (the Message struct,
+// 112 B on 64-bit) plus allocator rounding. Retained bytes count it, so
+// the byte bound tracks resident memory and not only payload.
+const MessageOverhead = 128
+
+// SegmentMessages is the number of messages per log segment. Segments
+// are allocated whole, so an append into one with spare capacity
+// allocates nothing, and retention drops whole segments: a partition
+// holds at most its byte bound plus one segment.
+const SegmentMessages = 1024
+
+func messageBytes(m *Message) int64 {
+	n := int64(len(m.Key)+len(m.Value)) + MessageOverhead
+	for k, v := range m.Headers {
+		n += int64(len(k) + len(v))
+	}
+	return n
+}
+
+// segment is a run of consecutive offsets of one partition's log.
+type segment struct {
+	start  int64     // offset of msgs[0]
+	msgs   []Message // allocated with the segment capacity, never grown
+	bytes  int64
+	newest time.Time // latest timestamp in msgs
+}
+
+// partition is one ordered log, held as a list of segments oldest
+// first; the last one takes appends. Lock order: p.mu may be held while
+// taking the broker's mu (to charge a trim to the consumer groups),
+// never the other way round.
 type partition struct {
+	b     *Broker
+	topic string
+	id    int
+
+	produced, fetched *obs.Counter // this partition's counter children
+
 	mu      sync.Mutex
-	base    int64 // offset of msgs[0] (after retention truncation)
-	msgs    []Message
+	segs    []segment
+	high    int64 // next offset to be written
+	bytes   int64 // retained, counted by messageBytes
 	waiters []chan struct{}
+}
+
+// low returns the oldest retained offset (high when nothing is).
+func (p *partition) low() int64 {
+	if len(p.segs) == 0 {
+		return p.high
+	}
+	return p.segs[0].start
 }
 
 func (p *partition) append(m Message) int64 {
 	p.mu.Lock()
-	m.Offset = p.base + int64(len(p.msgs))
-	p.msgs = append(p.msgs, m)
+	if n := len(p.segs); n == 0 || len(p.segs[n-1].msgs) == cap(p.segs[n-1].msgs) {
+		p.segs = append(p.segs, segment{start: p.high, msgs: make([]Message, 0, p.b.segmentCap)})
+		p.trim(time.Time{}, p.b.Retention().Bytes)
+	}
+	s := &p.segs[len(p.segs)-1]
+	m.Offset = p.high
+	s.msgs = append(s.msgs, m)
+	size := messageBytes(&m)
+	s.bytes += size
+	p.bytes += size
+	if m.Timestamp.After(s.newest) {
+		s.newest = m.Timestamp
+	}
+	p.high++
 	ws := p.waiters
 	p.waiters = nil
 	p.mu.Unlock()
@@ -63,6 +147,51 @@ func (p *partition) append(m Message) int64 {
 	return m.Offset
 }
 
+// trim is the one retention routine; p.mu is held. It drops whole
+// segments from the head while the log holds more than maxBytes or
+// while a segment's newest message is older than cutoff, then the
+// messages older than cutoff at the head of the first segment kept. A
+// zero cutoff or a non-positive maxBytes leaves that bound unchecked.
+// The byte bound is checked only at a roll, when the segment taking
+// appends is still empty, so it never drops that one. Dropping is a
+// reslice, not a copy of the retained tail; the dropped slots are
+// cleared so the payloads can be collected. The dropped range is
+// charged to the topic and to every group that had not committed past
+// it. trim returns how many messages it dropped.
+func (p *partition) trim(cutoff time.Time, maxBytes int64) int {
+	lo := p.low()
+	n := 0
+	for n < len(p.segs) {
+		s := &p.segs[n]
+		overBytes := maxBytes > 0 && p.bytes > maxBytes
+		expired := !cutoff.IsZero() && s.newest.Before(cutoff)
+		if !overBytes && !expired {
+			break
+		}
+		p.bytes -= s.bytes
+		n++
+	}
+	clear(p.segs[:n])
+	p.segs = p.segs[n:]
+	if len(p.segs) > 0 && !cutoff.IsZero() {
+		s := &p.segs[0]
+		i := 0
+		for ; i < len(s.msgs) && s.msgs[i].Timestamp.Before(cutoff); i++ {
+			size := messageBytes(&s.msgs[i])
+			s.bytes -= size
+			p.bytes -= size
+		}
+		clear(s.msgs[:i])
+		s.msgs = s.msgs[i:]
+		s.start += int64(i)
+	}
+	hi := p.low()
+	if hi > lo {
+		p.b.chargeDrop(p.topic, p.id, lo, hi)
+	}
+	return int(hi - lo)
+}
+
 // fetch returns up to max messages from the first retained offset >=
 // offset. An offset below the low watermark is clamped to it under the
 // partition lock — those messages are gone whatever the reader does, and
@@ -70,26 +199,29 @@ func (p *partition) append(m Message) int64 {
 // reader's own watermark check. Messages carry their real offsets, so
 // the reader's next position follows from what it was handed. Only an
 // offset beyond the high watermark is an error.
-func (p *partition) fetch(offset int64, max int) ([]Message, error) {
+func (p *partition) fetch(offset int64, limit int) ([]Message, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	high := p.base + int64(len(p.msgs))
-	if offset > high {
-		return nil, fmt.Errorf("%w: %d beyond high watermark %d", ErrOffsetOutOfRange, offset, high)
+	if offset > p.high {
+		return nil, fmt.Errorf("%w: %d beyond high watermark %d", ErrOffsetOutOfRange, offset, p.high)
 	}
-	if offset < p.base {
-		offset = p.base
-	}
-	if offset == high {
+	offset = max(offset, p.low())
+	if offset == p.high || limit <= 0 {
 		return nil, nil
 	}
-	start := offset - p.base
-	end := start + int64(max)
-	if end > int64(len(p.msgs)) {
-		end = int64(len(p.msgs))
+	// Readers are mostly near the head: search from the newest segment.
+	k := len(p.segs) - 1
+	for p.segs[k].start > offset {
+		k--
 	}
-	out := make([]Message, end-start)
-	copy(out, p.msgs[start:end])
+	out := make([]Message, 0, min(int64(limit), p.high-offset))
+	for ; k < len(p.segs) && len(out) < limit; k++ {
+		s := &p.segs[k]
+		from := offset - s.start
+		to := min(int64(len(s.msgs)), from+int64(limit-len(out)))
+		out = append(out, s.msgs[from:to]...)
+		offset = s.start + to
+	}
 	return out, nil
 }
 
@@ -100,7 +232,7 @@ func (p *partition) fetch(offset int64, max int) ([]Message, error) {
 func (p *partition) waitCh(offset int64) chan struct{} {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if max(offset, p.base) < p.base+int64(len(p.msgs)) {
+	if max(offset, p.low()) < p.high {
 		return nil
 	}
 	w := make(chan struct{})
@@ -142,29 +274,40 @@ type groupState struct {
 
 // Broker is an in-memory Kafka-like broker, safe for concurrent use.
 type Broker struct {
-	mu     sync.RWMutex
-	topics map[string]*topic
-	groups map[string]*groupState
+	mu        sync.RWMutex
+	topics    map[string]*topic
+	groups    map[string]*groupState
+	retention Retention
 
-	produced int64
+	produced atomic.Int64
 
 	// produceHook, when set, intercepts every ProduceMessage with the
 	// topic name; a non-nil error aborts the append. The chaos injector
 	// arms it to simulate broker-side produce failures.
-	produceHook func(topic string) error
+	produceHook atomic.Pointer[func(topic string) error]
+
+	segmentCap int // messages per segment; tests shrink it
 
 	reg         *obs.Registry
 	producedVec *obs.CounterVec
 	fetchedVec  *obs.CounterVec
+	droppedVec  *obs.CounterVec
+	skippedVec  *obs.CounterVec
 }
 
-// NewBroker returns an empty broker.
+// NewBroker returns an empty broker with the default retention bounds.
 func NewBroker() *Broker {
-	b := &Broker{topics: map[string]*topic{}, groups: map[string]*groupState{}, reg: obs.NewRegistry()}
+	b := &Broker{topics: map[string]*topic{}, groups: map[string]*groupState{}, reg: obs.NewRegistry(),
+		retention:  Retention{Bytes: DefaultRetentionBytes, Age: DefaultRetentionAge},
+		segmentCap: SegmentMessages}
 	b.producedVec = b.reg.CounterVec(obs.Namespace+"kafka_produced_total",
 		"Messages appended per topic/partition.", "topic", "partition")
 	b.fetchedVec = b.reg.CounterVec(obs.Namespace+"kafka_fetched_total",
 		"Messages served to consumers per topic/partition.", "topic", "partition")
+	b.droppedVec = b.reg.CounterVec(obs.Namespace+"kafka_retention_dropped_total",
+		"Messages dropped by retention (byte or age bound) per topic.", "topic")
+	b.skippedVec = b.reg.CounterVec(obs.Namespace+"kafka_retention_skipped_total",
+		"Offsets retention dropped before the group had committed past them.", "group", "topic")
 	b.reg.GaugeFunc(obs.Namespace+"kafka_topics", "Topics on the broker.", func() float64 {
 		b.mu.RLock()
 		defer b.mu.RUnlock()
@@ -179,9 +322,45 @@ func (b *Broker) Metrics() *obs.Registry { return b.reg }
 
 // SetProduceHook installs (or, with nil, removes) the produce fault hook.
 func (b *Broker) SetProduceHook(fn func(topic string) error) {
+	if fn == nil {
+		b.produceHook.Store(nil)
+		return
+	}
+	b.produceHook.Store(&fn)
+}
+
+// SetRetention replaces the retention bounds of every partition, DLQ
+// topics included. A tighter byte bound takes effect at each
+// partition's next segment roll, a tighter age at the next
+// TruncateBefore.
+func (b *Broker) SetRetention(r Retention) {
 	b.mu.Lock()
-	b.produceHook = fn
+	b.retention = r
 	b.mu.Unlock()
+}
+
+// Retention returns the bounds in force.
+func (b *Broker) Retention() Retention {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.retention
+}
+
+// chargeDrop counts the offsets [lo, hi) that retention dropped from a
+// partition: once against the topic, and against every group whose
+// commit on the partition had not passed them — for a stalled group,
+// exactly the offsets it will never read. Groups that never committed
+// on the partition are not charged. The partition's lock is held.
+func (b *Broker) chargeDrop(topicName string, part int, lo, hi int64) {
+	b.droppedVec.With(topicName).Add(float64(hi - lo))
+	key := commitKey(topicName, part)
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for name, g := range b.groups {
+		if next, ok := g.commits[key]; ok && next < hi {
+			b.skippedVec.With(name, topicName).Add(float64(hi - max(next, lo)))
+		}
+	}
 }
 
 // lagFamilies renders consumer-group lag per topic/partition at gather
@@ -198,13 +377,13 @@ func (b *Broker) lagFamilies() []promtext.Family {
 		}
 		sort.Strings(keys)
 		for _, key := range keys {
-			idx := strings.LastIndexByte(key, '/')
-			if idx <= 0 {
+			topicName, part, ok := splitCommitKey(key)
+			if !ok {
 				continue
 			}
 			f.Metrics = append(f.Metrics, promtext.Metric{
 				Name:   f.Name,
-				Labels: labels.FromStrings("group", group, "topic", key[:idx], "partition", key[idx+1:]),
+				Labels: labels.FromStrings("group", group, "topic", topicName, "partition", strconv.Itoa(part)),
 				Value:  float64(lags[key]),
 			})
 		}
@@ -224,8 +403,11 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 	}
 	t := &topic{name: name, partitions: make([]*partition, partitions)}
 	for i := range t.partitions {
-		t.partitions[i] = &partition{}
+		id := strconv.Itoa(i)
+		t.partitions[i] = &partition{b: b, topic: name, id: i,
+			produced: b.producedVec.With(name, id), fetched: b.fetchedVec.With(name, id)}
 	}
+	b.droppedVec.With(name)
 	b.topics[name] = t
 	return nil
 }
@@ -278,33 +460,30 @@ func (b *Broker) ProduceMessage(m Message) (int, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	b.mu.RLock()
-	hook := b.produceHook
-	b.mu.RUnlock()
-	if hook != nil {
-		if err := hook(m.Topic); err != nil {
+	if hook := b.produceHook.Load(); hook != nil {
+		if err := (*hook)(m.Topic); err != nil {
 			return 0, 0, fmt.Errorf("kafka: produce %s: %w", m.Topic, err)
 		}
 	}
 	var pi int
 	if len(m.Key) > 0 {
-		h := fnv.New32a()
-		h.Write(m.Key)
-		pi = int(h.Sum32()) % len(t.partitions)
+		// FNV-1a, inline: hash/fnv's hasher is an allocation per message.
+		h := uint32(2166136261)
+		for _, c := range m.Key {
+			h = (h ^ uint32(c)) * 16777619
+		}
+		pi = int(h % uint32(len(t.partitions)))
 	} else {
-		b.mu.Lock()
-		pi = int(b.produced) % len(t.partitions)
-		b.mu.Unlock()
+		pi = int(b.produced.Load() % int64(len(t.partitions)))
 	}
 	if m.Timestamp.IsZero() {
 		m.Timestamp = time.Now()
 	}
 	m.Partition = pi
-	off := t.partitions[pi].append(m)
-	b.mu.Lock()
-	b.produced++
-	b.mu.Unlock()
-	b.producedVec.With(m.Topic, strconv.Itoa(pi)).Inc()
+	p := t.partitions[pi]
+	off := p.append(m)
+	b.produced.Add(1)
+	p.produced.Inc()
 	return pi, off, nil
 }
 
@@ -320,10 +499,9 @@ func (b *Broker) Fetch(topicName string, part int, offset int64, max int) ([]Mes
 	if part < 0 || part >= len(t.partitions) {
 		return nil, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, part)
 	}
-	msgs, err := t.partitions[part].fetch(offset, max)
-	if len(msgs) > 0 {
-		b.fetchedVec.With(topicName, strconv.Itoa(part)).Add(float64(len(msgs)))
-	}
+	p := t.partitions[part]
+	msgs, err := p.fetch(offset, max)
+	p.fetched.Add(float64(len(msgs)))
 	return msgs, err
 }
 
@@ -339,9 +517,7 @@ func (b *Broker) FetchWait(topicName string, part int, offset int64, max int, ti
 	}
 	p := t.partitions[part]
 	count := func(msgs []Message, err error) ([]Message, error) {
-		if len(msgs) > 0 {
-			b.fetchedVec.With(topicName, strconv.Itoa(part)).Add(float64(len(msgs)))
-		}
+		p.fetched.Add(float64(len(msgs)))
 		return msgs, err
 	}
 	msgs, err := p.fetch(offset, max)
@@ -376,34 +552,27 @@ func (b *Broker) Watermarks(topicName string, part int) (low, high int64, err er
 	p := t.partitions[part]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base, p.base + int64(len(p.msgs)), nil
+	return p.low(), p.high, nil
 }
 
-// TruncateBefore drops messages older than cutoff across all topics
-// (time-based retention; HPE "has a policy of keeping event information
-// for no more than two months"). It returns the number dropped.
+// TruncateBefore drops messages older than cutoff across all topics and
+// returns the number dropped. It is the age half of retention (HPE "has
+// a policy of keeping event information for no more than two months"):
+// pass now minus Retention().Age. Whole segments go first, then the
+// head of the first one kept, so a partition stops at its first message
+// not older than cutoff.
 func (b *Broker) TruncateBefore(cutoff time.Time) int {
 	b.mu.RLock()
-	topics := make([]*topic, 0, len(b.topics))
+	var parts []*partition
 	for _, t := range b.topics {
-		topics = append(topics, t)
+		parts = append(parts, t.partitions...)
 	}
 	b.mu.RUnlock()
 	dropped := 0
-	for _, t := range topics {
-		for _, p := range t.partitions {
-			p.mu.Lock()
-			i := 0
-			for i < len(p.msgs) && p.msgs[i].Timestamp.Before(cutoff) {
-				i++
-			}
-			if i > 0 {
-				p.base += int64(i)
-				p.msgs = append([]Message(nil), p.msgs[i:]...)
-				dropped += i
-			}
-			p.mu.Unlock()
-		}
+	for _, p := range parts {
+		p.mu.Lock()
+		dropped += p.trim(cutoff, 0)
+		p.mu.Unlock()
 	}
 	return dropped
 }
@@ -505,7 +674,13 @@ func (b *Broker) Commit(group, topicName string, part int, next int64) {
 		g = &groupState{commits: map[string]int64{}}
 		b.groups[group] = g
 	}
-	g.commits[commitKey(topicName, part)] = next
+	key := commitKey(topicName, part)
+	if _, ok := g.commits[key]; !ok {
+		// Export the loss counter from the first commit on, so the first
+		// retention skip shows as an increase and not as a new series.
+		b.skippedVec.With(group, topicName)
+	}
+	g.commits[key] = next
 }
 
 // Committed returns the committed next offset, or 0 if none.
@@ -548,30 +723,33 @@ func (b *Broker) GroupLag(group string) map[string]int64 {
 	b.mu.RUnlock()
 	out := make(map[string]int64, len(commits))
 	for key, next := range commits {
-		// key is "topic/partition"; split on the last '/'.
-		idx := len(key) - 1
-		for idx >= 0 && key[idx] != '/' {
-			idx--
-		}
-		if idx <= 0 {
-			continue
-		}
-		topicName := key[:idx]
-		var part int
-		if _, err := fmt.Sscanf(key[idx+1:], "%d", &part); err != nil {
+		topicName, part, ok := splitCommitKey(key)
+		if !ok {
 			continue
 		}
 		_, high, err := b.Watermarks(topicName, part)
 		if err != nil {
 			continue
 		}
-		lag := high - next
-		if lag < 0 {
-			lag = 0
-		}
-		out[key] = lag
+		out[key] = max(high-next, 0)
 	}
 	return out
+}
+
+// RetainedBytes returns what one partition holds, counted as the byte
+// bound counts it (see MessageOverhead).
+func (b *Broker) RetainedBytes(topicName string, part int) (int64, error) {
+	t, err := b.topic(topicName)
+	if err != nil {
+		return 0, err
+	}
+	if part < 0 || part >= len(t.partitions) {
+		return 0, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, part)
+	}
+	p := t.partitions[part]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.bytes, nil
 }
 
 // Stats reports broker-wide counters.
@@ -584,5 +762,5 @@ type Stats struct {
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return Stats{Topics: len(b.topics), Messages: b.produced}
+	return Stats{Topics: len(b.topics), Messages: b.produced.Load()}
 }

@@ -246,15 +246,19 @@ func (ls Labels) String() string {
 	return b.String()
 }
 
-// Validate reports an error if any label name is empty or contains '=',
-// '{', '}' or '"' characters that would make the rendered form ambiguous.
+// Validate reports an error if any label name is empty, contains '=',
+// '{', '}' or '"' characters that would make the rendered form ambiguous,
+// or repeats (a matcher on the name would see only one of the values).
 func (ls Labels) Validate() error {
-	for _, l := range ls {
+	for i, l := range ls {
 		if l.Name == "" {
 			return fmt.Errorf("labels: empty label name (value %q)", l.Value)
 		}
 		if strings.ContainsAny(l.Name, `={}" ,`) {
 			return fmt.Errorf("labels: invalid label name %q", l.Name)
+		}
+		if i > 0 && ls[i-1].Name == l.Name {
+			return fmt.Errorf("labels: repeated label name %q", l.Name)
 		}
 	}
 	return nil

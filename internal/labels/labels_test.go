@@ -129,6 +129,15 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// A set that names one label twice is not a label set: {a="2"} would
+// never select the series {a="1", a="2"} it renders as.
+func TestValidateRejectsRepeatedName(t *testing.T) {
+	bad := Labels{{Name: "__name__", Value: "m"}, {Name: "a", Value: "1"}, {Name: "a", Value: "2"}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("repeated label name accepted")
+	}
+}
+
 func TestMatcherTypes(t *testing.T) {
 	cases := []struct {
 		t    MatchType

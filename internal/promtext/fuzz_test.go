@@ -19,6 +19,7 @@ func FuzzWriteParseRoundTrip(f *testing.F) {
 	f.Add(`m{le="1"} 2 # {trace_id="t}1"} 0.5 1646272077000`, `t}1,x="y"`, "", 2.0, int64(1646272077000))
 	f.Add("# HELP m line one\\nline two \\\\ backslash\n# TYPE m gauge\nm 1", "line\nbreak", `"q"\`, math.Inf(-1), int64(-5))
 	f.Add(`m{a="x\y",b=""} NaN 7`, `\`, "}", math.NaN(), int64(7))
+	f.Add(`m{a="1",a="2"} 1`, "1", "2", 1.0, int64(0))
 	f.Fuzz(func(t *testing.T, doc, v1, v2 string, value float64, ts int64) {
 		// Any accepted document re-renders to a fixpoint.
 		if fams, err := Parse(strings.NewReader(doc)); err == nil {

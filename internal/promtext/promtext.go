@@ -343,6 +343,11 @@ func parseLabels(s string) (labels.Labels, int, error) {
 		ls = append(ls, labels.Label{Name: name, Value: b.String()})
 	}
 	sort.SliceStable(ls, func(a, b int) bool { return ls[a].Name < ls[b].Name })
+	for j := 1; j < len(ls); j++ {
+		if ls[j].Name == ls[j-1].Name {
+			return nil, 0, fmt.Errorf("repeated label name %q in %q", ls[j].Name, s)
+		}
+	}
 	return labels.Labels(ls), i + 1, nil
 }
 

@@ -163,6 +163,21 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// Regression: m{a="1",a="2"} used to parse into a series that the
+// matcher {a="2"} never selects. Prometheus refuses such a sample, and
+// so does the exemplar's label block.
+func TestParseRejectsRepeatedLabelName(t *testing.T) {
+	for _, in := range []string{
+		`m{a="1",a="2"} 1`,
+		`m{b="x",a="1",a="1"} 1`,
+		`m{le="1"} 2 # {trace_id="t",trace_id="u"} 0.5`,
+	} {
+		if _, err := Parse(strings.NewReader(in)); err == nil {
+			t.Errorf("no error for %q", in)
+		}
+	}
+}
+
 func TestIgnoresUnknownComments(t *testing.T) {
 	fams, err := Parse(strings.NewReader("# EOF\n# random comment\nm 1\n"))
 	if err != nil {
