@@ -850,7 +850,7 @@ func (p *Pipeline) Tick(now time.Time) error {
 	stage("alertmanager_flush", func() error { p.Alertmanager.Flush(); return nil })
 	stage("retention", func() error {
 		p.Warehouse.EnforceRetention(now)
-		p.Broker.TruncateBefore(now.Add(-p.Broker.Retention().Age))
+		p.Broker.TruncateBefore(now.Add(-kafka.DefaultRetentionAge))
 		return nil
 	})
 	stage("checkpoint", func() error { return p.Warehouse.MaybeCheckpoint(now) })

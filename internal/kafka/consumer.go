@@ -52,8 +52,9 @@ func NewManualConsumer(b *Broker, group, member string, topics ...string) *Consu
 //
 // A position orphaned by retention heals itself: the broker's fetch
 // starts at the low watermark when retention has moved it past the
-// read position (the broker counts those offsets against the group), and the position then advances from the offsets of the
-// messages actually returned — a monitoring consumer keeps draining what
+// read position (the broker counts those offsets against the group),
+// and the position then advances from the offsets of the messages
+// actually returned — a monitoring consumer keeps draining what
 // remains.
 func (c *Consumer) Poll(max int, timeout time.Duration) ([]Message, error) {
 	c.mu.Lock()

@@ -43,26 +43,21 @@ var (
 	ErrOffsetOutOfRange = errors.New("kafka: offset out of range")
 )
 
-// Retention holds the two bounds Kafka puts on every partition's log,
-// retention.bytes and retention.ms. A bound of zero or less is no bound.
-type Retention struct {
-	// Bytes bounds what one partition holds, counted by messageBytes.
-	// It is enforced as the log grows: an in-memory broker has no disk
-	// to spill to, so without it every message produced inside the age
-	// bound stays on the heap. A trim drops whole segments, unread tails
-	// included, so the bound should exceed one segment plus what
-	// consumers leave unread between polls.
-	Bytes int64
-	// Age bounds how old a retained message may be. It is enforced by
-	// TruncateBefore, whose caller owns the clock (the pipeline's tick
-	// runs on simulated time in experiments).
-	Age time.Duration
-}
-
-// Defaults for every partition, DLQ topics included. The age is HPE's
-// policy in the paper ("keeping event information for no more than two
-// months"); the byte bound keeps a partition's log to a few megabytes
-// of heap, far more than the forwarder ever leaves unread in a tick.
+// Kafka's two retention bounds, applied to every partition, DLQ topics
+// included.
+//
+// DefaultRetentionBytes is retention.bytes: what one partition holds,
+// counted by messageBytes. The broker enforces it as the log grows: an
+// in-memory broker has no disk to spill to, so without it every message
+// produced inside the age bound stays on the heap. A trim drops whole
+// segments, unread tails included, so the bound must exceed one segment
+// plus what consumers leave unread between polls; 8 MiB is far more
+// than the forwarder ever leaves unread in a tick.
+//
+// DefaultRetentionAge is retention.ms, HPE's policy in the paper
+// ("keeping event information for no more than two months"). It is
+// enforced by TruncateBefore, whose caller owns the clock (the
+// pipeline's tick runs on simulated time in experiments).
 const (
 	DefaultRetentionBytes = 8 << 20
 	DefaultRetentionAge   = 60 * 24 * time.Hour
@@ -126,7 +121,7 @@ func (p *partition) append(m Message) int64 {
 	p.mu.Lock()
 	if n := len(p.segs); n == 0 || len(p.segs[n-1].msgs) == cap(p.segs[n-1].msgs) {
 		p.segs = append(p.segs, segment{start: p.high, msgs: make([]Message, 0, p.b.segmentCap)})
-		p.trim(time.Time{}, p.b.Retention().Bytes)
+		p.trim(time.Time{}, p.b.retentionBytes)
 	}
 	s := &p.segs[len(p.segs)-1]
 	m.Offset = p.high
@@ -274,10 +269,9 @@ type groupState struct {
 
 // Broker is an in-memory Kafka-like broker, safe for concurrent use.
 type Broker struct {
-	mu        sync.RWMutex
-	topics    map[string]*topic
-	groups    map[string]*groupState
-	retention Retention
+	mu     sync.RWMutex
+	topics map[string]*topic
+	groups map[string]*groupState
 
 	produced atomic.Int64
 
@@ -286,7 +280,10 @@ type Broker struct {
 	// arms it to simulate broker-side produce failures.
 	produceHook atomic.Pointer[func(topic string) error]
 
-	segmentCap int // messages per segment; tests shrink it
+	// Messages per segment and bytes per partition (DefaultRetentionBytes);
+	// tests shrink both.
+	segmentCap     int
+	retentionBytes int64
 
 	reg         *obs.Registry
 	producedVec *obs.CounterVec
@@ -295,11 +292,10 @@ type Broker struct {
 	skippedVec  *obs.CounterVec
 }
 
-// NewBroker returns an empty broker with the default retention bounds.
+// NewBroker returns an empty broker with the default byte bound.
 func NewBroker() *Broker {
 	b := &Broker{topics: map[string]*topic{}, groups: map[string]*groupState{}, reg: obs.NewRegistry(),
-		retention:  Retention{Bytes: DefaultRetentionBytes, Age: DefaultRetentionAge},
-		segmentCap: SegmentMessages}
+		segmentCap: SegmentMessages, retentionBytes: DefaultRetentionBytes}
 	b.producedVec = b.reg.CounterVec(obs.Namespace+"kafka_produced_total",
 		"Messages appended per topic/partition.", "topic", "partition")
 	b.fetchedVec = b.reg.CounterVec(obs.Namespace+"kafka_fetched_total",
@@ -327,23 +323,6 @@ func (b *Broker) SetProduceHook(fn func(topic string) error) {
 		return
 	}
 	b.produceHook.Store(&fn)
-}
-
-// SetRetention replaces the retention bounds of every partition, DLQ
-// topics included. A tighter byte bound takes effect at each
-// partition's next segment roll, a tighter age at the next
-// TruncateBefore.
-func (b *Broker) SetRetention(r Retention) {
-	b.mu.Lock()
-	b.retention = r
-	b.mu.Unlock()
-}
-
-// Retention returns the bounds in force.
-func (b *Broker) Retention() Retention {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.retention
 }
 
 // chargeDrop counts the offsets [lo, hi) that retention dropped from a
@@ -558,7 +537,7 @@ func (b *Broker) Watermarks(topicName string, part int) (low, high int64, err er
 // TruncateBefore drops messages older than cutoff across all topics and
 // returns the number dropped. It is the age half of retention (HPE "has
 // a policy of keeping event information for no more than two months"):
-// pass now minus Retention().Age. Whole segments go first, then the
+// pass now minus DefaultRetentionAge. Whole segments go first, then the
 // head of the first one kept, so a partition stops at its first message
 // not older than cutoff.
 func (b *Broker) TruncateBefore(cutoff time.Time) int {
@@ -734,22 +713,6 @@ func (b *Broker) GroupLag(group string) map[string]int64 {
 		out[key] = max(high-next, 0)
 	}
 	return out
-}
-
-// RetainedBytes returns what one partition holds, counted as the byte
-// bound counts it (see MessageOverhead).
-func (b *Broker) RetainedBytes(topicName string, part int) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if part < 0 || part >= len(t.partitions) {
-		return 0, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, topicName, part)
-	}
-	p := t.partitions[part]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytes, nil
 }
 
 // Stats reports broker-wide counters.

@@ -18,6 +18,20 @@ type modelPart struct {
 	stamps   []time.Time      // timestamp by offset
 }
 
+// retainedBytes is what one partition holds, counted as the byte bound
+// counts it.
+func retainedBytes(t *testing.T, b *Broker, topicName string, part int) int64 {
+	t.Helper()
+	tp, err := b.topic(topicName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tp.partitions[part]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.bytes
+}
+
 // retentionSchedule drives one seeded random schedule of produce,
 // fetch, commit and truncate steps against a broker with small segments
 // and a small byte bound, and checks the retention invariants after
@@ -38,7 +52,7 @@ func retentionSchedule(t *testing.T, seed int64) (dropped, lost int64) {
 	b := NewBroker()
 	b.segmentCap = 1 + rng.Intn(8)
 	bound := int64(200 + rng.Intn(2000))
-	b.SetRetention(Retention{Bytes: bound, Age: time.Hour})
+	b.retentionBytes = bound
 
 	topics := map[string]int{"a": 1, "b": 3}
 	groups := []string{"g1", "g2", "g3"}
@@ -99,8 +113,8 @@ func retentionSchedule(t *testing.T, seed int64) (dropped, lost int64) {
 		case op < 9: // the age half, at a random cutoff
 			cutoff = clock.Add(-time.Duration(rng.Intn(3600)) * time.Second)
 			truncated = b.TruncateBefore(cutoff)
-		default: // the age bound against the clock
-			cutoff = clock.Add(-b.Retention().Age)
+		default: // the age half as a tick runs it, with an hour's bound
+			cutoff = clock.Add(-time.Hour)
 			truncated = b.TruncateBefore(cutoff)
 		}
 
@@ -154,7 +168,7 @@ func retentionSchedule(t *testing.T, seed int64) (dropped, lost int64) {
 				if int64(len(msgs)) != high-low {
 					t.Fatalf("seed %d step %d %s/%d: fetched %d of [%d,%d)", seed, step, tn, pi, len(msgs), low, high)
 				}
-				if got, err := b.RetainedBytes(tn, pi); err != nil || got != bytes {
+				if got := retainedBytes(t, b, tn, pi); got != bytes {
 					t.Fatalf("seed %d step %d %s/%d: broker counts %d bytes, messages hold %d", seed, step, tn, pi, got, bytes)
 				}
 				if limit := bound + int64(b.segmentCap)*maxMsg; bytes > limit {
@@ -209,7 +223,7 @@ func TestPropertyRetention(t *testing.T) {
 func TestByteBoundTrimsOnAppend(t *testing.T) {
 	b := NewBroker()
 	b.segmentCap = 10
-	b.SetRetention(Retention{Bytes: 25 * (8 + MessageOverhead)})
+	b.retentionBytes = 25 * (8 + MessageOverhead)
 	newTopic(t, b, "t", 1)
 	for i := 0; i < 100; i++ {
 		if _, _, err := b.Produce("t", nil, []byte(fmt.Sprintf("m%07d", i)), time.Unix(int64(i), 0)); err != nil {
@@ -229,11 +243,95 @@ func TestByteBoundTrimsOnAppend(t *testing.T) {
 	if got := b.droppedVec.With("t").Value(); got != 70 {
 		t.Fatalf("dropped counter %v, want 70", got)
 	}
-	if got, err := b.RetainedBytes("t", 0); err != nil || got != 30*(8+MessageOverhead) {
-		t.Fatalf("retained bytes %d (%v), want those of 30 messages", got, err)
+	if got := retainedBytes(t, b, "t", 0); got != 30*(8+MessageOverhead) {
+		t.Fatalf("retained bytes %d, want those of 30 messages", got)
 	}
 	if st := b.Stats(); st.Messages != 100 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// Two manual-commit consumers read one topic under a small byte bound.
+// One polls and commits as messages arrive: retention drops only what it
+// has read and never charges its group. The other stalls after its first
+// commit: it loses exactly the offsets the broker charges its group, and
+// when it polls again it drains the rest, from the low watermark on.
+func TestStalledConsumerLosesCountedOffsets(t *testing.T) {
+	b := NewBroker()
+	b.segmentCap = 10
+	const size = 8 + MessageOverhead // every value below is 8 bytes
+	b.retentionBytes = 25 * size
+	newTopic(t, b, "t", 1)
+	produce := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			if _, _, err := b.Produce("t", nil, []byte(fmt.Sprintf("m%07d", i)), time.Unix(int64(i), 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	poll := func(c *Consumer) []Message {
+		t.Helper()
+		msgs, err := c.Poll(1000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.CommitPolled()
+		return msgs
+	}
+	live := NewManualConsumer(b, "live", "m", "t")
+	stalled := NewManualConsumer(b, "stalled", "m", "t")
+	defer live.Close()
+	defer stalled.Close()
+
+	const first, total = 15, 200
+	produce(0, first)
+	var seen []Message // what the live consumer read, in order
+	seen = append(seen, poll(live)...)
+	if n := len(poll(stalled)); n != first {
+		t.Fatalf("stalled consumer read %d before the stall, want %d", n, first)
+	}
+	for i := first; i < total; i += 5 {
+		produce(i, 5)
+		seen = append(seen, poll(live)...)
+		if got, limit := retainedBytes(t, b, "t", 0), b.retentionBytes+int64(b.segmentCap)*size; got > limit {
+			t.Fatalf("after offset %d: %d bytes retained, bound + one segment = %d", i+4, got, limit)
+		}
+	}
+	for i, m := range seen {
+		if m.Offset != int64(i) {
+			t.Fatalf("live consumer read offset %d at %d", m.Offset, i)
+		}
+	}
+	if len(seen) != total {
+		t.Fatalf("live consumer read %d of %d", len(seen), total)
+	}
+
+	// The last roll (offset 190) left [170, 200).
+	low, high, _ := b.Watermarks("t", 0)
+	if low != 170 || high != total {
+		t.Fatalf("watermarks [%d,%d), want [170,%d)", low, high, total)
+	}
+	if got := b.skippedVec.With("live", "t").Value(); got != 0 {
+		t.Fatalf("a consumer that keeps up was charged %v skipped offsets", got)
+	}
+	lost := low - first
+	if got := b.skippedVec.With("stalled", "t").Value(); got != float64(lost) {
+		t.Fatalf("the stalled group lost %d offsets, was charged %v", lost, got)
+	}
+
+	rest := poll(stalled)
+	if int64(len(rest)) != high-low {
+		t.Fatalf("stalled consumer drained %d, want %d", len(rest), high-low)
+	}
+	for i, m := range rest {
+		if m.Offset != low+int64(i) || string(m.Value) != fmt.Sprintf("m%07d", low+int64(i)) {
+			t.Fatalf("drained offset %d (%q) at %d", m.Offset, m.Value, i)
+		}
+	}
+	for key, lag := range b.GroupLag("stalled") {
+		if lag != 0 {
+			t.Fatalf("lag %d on %s after the drain", lag, key)
+		}
 	}
 }
 
@@ -241,7 +339,7 @@ func TestByteBoundTrimsOnAppend(t *testing.T) {
 func TestDLQFollowsRetention(t *testing.T) {
 	b := NewBroker()
 	b.segmentCap = 4
-	b.SetRetention(Retention{Bytes: 1, Age: time.Hour})
+	b.retentionBytes = 1
 	newTopic(t, b, "t", 1)
 	for i := 0; i < 12; i++ {
 		m := Message{Topic: "t", Value: []byte("bad"), Timestamp: time.Unix(int64(i), 0)}
@@ -253,8 +351,8 @@ func TestDLQFollowsRetention(t *testing.T) {
 	if low != 8 || high != 12 {
 		t.Fatalf("dlq watermarks [%d,%d), want [8,12)", low, high)
 	}
-	if n := b.TruncateBefore(time.Unix(12, 0).Add(-b.Retention().Age)); n != 0 {
-		t.Fatalf("age bound dropped %d records an hour young", n)
+	if n := b.TruncateBefore(time.Unix(12, 0).Add(-DefaultRetentionAge)); n != 0 {
+		t.Fatalf("the default age bound dropped %d records seconds old", n)
 	}
 	if n := b.TruncateBefore(time.Unix(11, 0)); n != 3 {
 		t.Fatalf("age bound dropped %d, want 3", n)
